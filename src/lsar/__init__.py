@@ -1,5 +1,14 @@
 """Leverage-score sampling for fitting AR models to large time series."""
 
+import os
+
+# The solves here are small, skinny QR factorizations, on which BLAS
+# threads spin rather than help.  Default to one thread; this only takes
+# effect when lsar is imported before numpy, as the ``lsar`` command does.
+# A value already set in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .driver import DeltaMode, LsarConfig, LsarResult, OrderRecord, run_lsar
 from .errors import (
     DataError,

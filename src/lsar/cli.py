@@ -13,6 +13,7 @@ summary lines are prefixed ``lsar:`` for scraping.  Exit codes: 2 usage,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -98,7 +99,21 @@ def _is_number(token: str) -> bool:
 
 
 def write_series(path: str, series: TimeSeries):
-    report.write_csv_report(path, ["y"], [[float(v)] for v in series.values], {})
+    """Single-column ``y`` report without metadata, formatted in one pass."""
+    values = series.values.tolist()
+    line = report.FLOAT_FORMAT + "\n"
+    report._atomic_write(path, "y\n" + (line * len(values)) % tuple(values))
+
+
+def runtime_metadata() -> dict:
+    """What a report needs to diagnose a run: BLAS threads and numpy version.
+
+    ``blas_threads`` is the environment value after the package default;
+    ``Generator.choice`` streams are not promised stable across numpy
+    releases, hence the version.
+    """
+    return {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", ""),
+            "numpy": np.__version__}
 
 
 def _size_rule(args) -> SampleSizeRule:
@@ -252,7 +267,7 @@ def cmd_lsar(args) -> int:
                 "bandwidth_multiplier": args.bandwidth_multiplier,
                 "delta_mode": args.delta_mode, "rng": RNG_NAME, "seed": args.seed,
                 "selected_order": result.selected_order,
-                "total_wall_time": float(total_time)}
+                "total_wall_time": float(total_time), **runtime_metadata()}
         report.write_csv_report(
             args.out,
             ["p", "window", "s", "clamp_count", "residual_norm", "pacf",
@@ -268,7 +283,7 @@ def cmd_eval(args) -> int:
     rule = _size_rule(args)
     meta = evalbench.report_metadata(
         series.n, args.seed,
-        {"command": f"eval.{args.study}", "rng": RNG_NAME, "threads": args.threads},
+        {"command": f"eval.{args.study}", "rng": RNG_NAME, **runtime_metadata()},
     )
     if args.study in ("mpre", "bounds", "timing"):
         if args.pbar is None:
@@ -315,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lsar",
         description="AR model fitting and order selection via leverage-score sampling",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="recorded in report metadata; 1 = timing-comparable mode")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="simulate a seeded AR series")

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ZeroResidualError
-from .exact import ARFit, PacfTrace, ZERO_CONFIDENCE_Z, fit_ols, select_order
+from .exact import ARFit, FitSource, PacfTrace, ZERO_CONFIDENCE_Z, \
+    fit_from_coefficients, fit_ols, select_order
 from .recursion import approximate_sweep
 from .sampling import SampleSizeRule
 from .series import TimeSeries, make_design
@@ -99,7 +100,9 @@ def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
             f"need n > 2 * max_order, got n={series.n}, max_order={cfg.max_order}"
         )
     records: list[OrderRecord] = []
-    fits: list[ARFit] = []
+    # Only each order's coefficients are kept; the selected order's
+    # residuals are recomputed once below, so memory stays O(n).
+    coefficients: list[np.ndarray] = []
     aborted_at = None
     abort_reason = None
     sweep = approximate_sweep(
@@ -134,7 +137,7 @@ def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
                 wall_time=t1 - t0,
             )
         )
-        fits.append(state.fit)
+        coefficients.append(state.fit.coefficients)
         t0 = t1
 
     estimates = np.array([r.pacf_estimate for r in records])
@@ -147,9 +150,14 @@ def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
         selected_order=selected,
         per_lag_bandwidth=bands if records else None,
     )
-    final_fit = fits[selected - 1] if selected >= 1 else None
-    if final_fit is not None and cfg.refit_full:
+    final_fit = None
+    if selected >= 1 and cfg.refit_full:
         final_fit = fit_ols(make_design(series, selected))
+    elif selected >= 1:
+        window = series.prefix(records[selected - 1].window)
+        final_fit = fit_from_coefficients(
+            make_design(window, selected), coefficients[selected - 1], FitSource.SAMPLED
+        )
     return LsarResult(
         selected_order=selected,
         final_fit=final_fit,

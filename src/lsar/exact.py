@@ -1,11 +1,12 @@
 """Ground-truth computations on the full lagged design.
 
 The conditional MLE of an AR(p) model is the OLS solution of regressing
-``y[p:]`` on its p lagged values.  Everything here goes through one thin
-Householder QR factorization per design: the triangular solve gives the
-coefficients, and the squared row norms of the orthonormal factor give the
-exact leverage scores.  Normal equations are deliberately avoided; the
-kappa^2 conditioning loss would contaminate the score oracles.
+``y[p:]`` on its p lagged values.  Everything here goes through Householder
+QR.  A solve factors the augmented panel ``[X | y]`` and keeps only R: the
+triangular system ``R[:p, :p] phi = R[:p, p]`` gives the coefficients and
+the orthonormal factor is never formed.  Exact leverage scores do need Q:
+they are its squared row norms.  Normal equations are deliberately avoided;
+the kappa^2 conditioning loss would contaminate the score oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from .errors import DataError, RankDeficiencyError
 from .series import ARDesign, TimeSeries, make_design
@@ -112,32 +113,42 @@ def select_order(estimates: np.ndarray, bandwidth) -> int:
     return int(hits[-1] + 1) if hits.size else 0
 
 
-def _qr(matrix: np.ndarray, required_rank: int):
-    """Thin QR with a relative rank check on the diagonal of R."""
-    q, r = np.linalg.qr(matrix)
-    diag = np.abs(np.diag(r))
+def _check_rank(diag: np.ndarray, required_rank: int):
+    """Relative rank check on the diagonal of a triangular factor."""
+    diag = np.abs(diag)
     scale = diag.max() if diag.size else 0.0
     rank = int(np.count_nonzero(diag > RANK_RTOL * scale)) if scale > 0 else 0
     if rank < required_rank:
         raise RankDeficiencyError(rank, required_rank)
+
+
+def _qr(matrix: np.ndarray, required_rank: int):
+    """Thin QR with a relative rank check on the diagonal of R."""
+    q, r = np.linalg.qr(matrix)
+    _check_rank(np.diag(r), required_rank)
     return q, r
 
 
-def solve_ols(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least-squares solution via Householder QR with a rank guard."""
-    q, r = _qr(matrix, matrix.shape[1])
-    return solve_triangular(r, q.T @ rhs)
+def solve_ols(panel: np.ndarray) -> np.ndarray:
+    """Least-squares fit of the last column of ``panel`` on the others.
 
-
-def fit_ols(design: ARDesign) -> ARFit:
-    """Conditional MLE of the AR coefficients at the design's order.
-
-    Residuals and the noise-variance estimate ``|r|^2 / (n - p)`` are
-    computed on the full design.
+    ``panel`` is ``[X | y]`` as a Fortran-ordered float64 array; it is
+    overwritten by an R-only Householder QR.  The coefficients solve
+    ``R[:p, :p] phi = R[:p, p]``, so Q is never formed.
     """
-    x = design.materialize()
-    phi = solve_ols(x, design.responses)
-    residuals = design.responses - x @ phi
+    p = panel.shape[1] - 1
+    qr = lapack.dgeqrf(panel, overwrite_a=True)[0]
+    r = qr[:p, :p]
+    _check_rank(np.diag(r), p)
+    return solve_triangular(r, qr[:p, p])
+
+
+def fit_from_coefficients(design: ARDesign, phi: np.ndarray, source: FitSource) -> ARFit:
+    """The fit with coefficients ``phi``, its residuals on the full design.
+
+    The noise-variance estimate is ``|r|^2 / (n - p)``.
+    """
+    residuals = design.responses - design.apply(phi)
     rnorm = float(np.linalg.norm(residuals))
     return ARFit(
         order=design.p,
@@ -145,8 +156,13 @@ def fit_ols(design: ARDesign) -> ARFit:
         residuals=residuals,
         residual_norm=rnorm,
         noise_variance=rnorm**2 / design.row_count,
-        source=FitSource.FULL,
+        source=source,
     )
+
+
+def fit_ols(design: ARDesign) -> ARFit:
+    """Conditional MLE of the AR coefficients at the design's order."""
+    return fit_from_coefficients(design, solve_ols(design.panel()), FitSource.FULL)
 
 
 def exact_leverage(design: ARDesign) -> LeverageScores:

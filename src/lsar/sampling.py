@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DistributionError, SampleSizeError
-from .exact import ARFit, FitSource, LeverageScores, solve_ols
+from .exact import ARFit, FitSource, LeverageScores, fit_from_coefficients, solve_ols
 from .series import ARDesign
 
 RNG_NAME = "philox"
@@ -169,23 +169,12 @@ def draw_plan(scores: LeverageScores, s: int, *seed_words) -> SamplingPlan:
 def reduced_fit(design: ARDesign, plan: SamplingPlan) -> ARFit:
     """Weighted OLS on the sampled rows; residuals on the full design.
 
-    The weighted solve scales sampled rows and responses by the plan weights
-    and reuses the QR kernel from the exact solvers.
+    The sampled rows of ``[X | y]``, scaled by the plan weights, are
+    gathered into one panel for the R-only QR solve.
     """
     if plan.indices.size and (plan.indices.min() < 0 or plan.indices.max() >= design.row_count):
         raise DistributionError(
             f"plan indices out of range for design with {design.row_count} rows"
         )
-    x_s = design.rows[plan.indices] * plan.weights[:, None]
-    y_s = design.responses[plan.indices] * plan.weights
-    phi = solve_ols(x_s, y_s)
-    residuals = design.responses - design.apply(phi)
-    rnorm = float(np.linalg.norm(residuals))
-    return ARFit(
-        order=design.p,
-        coefficients=phi,
-        residuals=residuals,
-        residual_norm=rnorm,
-        noise_variance=rnorm**2 / design.row_count,
-        source=FitSource.SAMPLED,
-    )
+    phi = solve_ols(design.panel(plan.indices, plan.weights))
+    return fit_from_coefficients(design, phi, FitSource.SAMPLED)

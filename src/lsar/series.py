@@ -4,7 +4,8 @@ and seeded synthetic AR generation.
 The design matrix of an AR(p) regression is Toeplitz: row i (0-based) is
 ``[y[i+p-1], y[i+p-2], ..., y[i]]`` with response ``y[i+p]``.  `ARDesign`
 exposes that matrix as a zero-copy view over the series; materialization
-is explicit and only used by oracles and reduced-sample solves.
+is explicit and only used by oracles.  Solves gather the rows they need of
+the augmented panel ``[X | y]`` instead.
 """
 
 from __future__ import annotations
@@ -93,6 +94,28 @@ class ARDesign:
     def materialize(self) -> np.ndarray:
         """Dense contiguous copy of the design matrix (explicitly O(n p))."""
         return np.ascontiguousarray(self.rows)
+
+    def panel(self, indices: np.ndarray | None = None,
+              weights: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``indices`` of ``[X | y]``, scaled by ``weights``.
+
+        The result is a fresh Fortran-ordered ``(s, p + 1)`` array gathered
+        straight from the series: column k holds ``y[i + p - 1 - k]`` and the
+        last column the response ``y[i + p]``.  Without ``indices`` every row
+        is taken in order.
+        """
+        y = self.series.values
+        p = self.p
+        s = self.row_count if indices is None else indices.size
+        out = np.empty((s, p + 1), order="F")
+        for col, lag in enumerate([*range(p - 1, -1, -1), p]):
+            if indices is None:
+                out[:, col] = y[lag: lag + s]
+            else:
+                np.take(y[lag:], indices, out=out[:, col])
+        if weights is not None:
+            out *= weights[:, None]
+        return out
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """Compute ``X @ phi`` in O(n p) without materializing the matrix."""

@@ -1,9 +1,12 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from lsar import report
 from lsar.cli import EXIT_DATA, EXIT_NUMERICAL, main, read_series, write_series
 from lsar.series import TimeSeries
 
@@ -189,3 +192,58 @@ class TestAtomicWrites:
                     "--out", str(tmp_path / "fit.csv")]) == 0
         leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         assert leftovers == []
+
+
+class TestWriteSeries:
+    def test_bytes_match_csv_report_path(self, tmp_path):
+        rng = np.random.default_rng(0)
+        values = np.concatenate([
+            [-0.0, 0.0, 1e-300, -1e-300, 1e308, -1e308, 5e-324, 0.1, 1.0 / 3.0],
+            rng.normal(size=1000) * 10.0 ** rng.integers(-20, 20, size=1000),
+        ])
+        fast = tmp_path / "fast.csv"
+        reference = tmp_path / "reference.csv"
+        write_series(str(fast), TimeSeries(values))
+        report.write_csv_report(str(reference), ["y"], [[float(v)] for v in values], {})
+        assert fast.read_bytes() == reference.read_bytes()
+        assert fast.read_bytes().startswith(b"y\n-0\n0\n1e-300\n")
+        np.testing.assert_array_equal(read_series(str(fast)).values, values)
+
+
+class TestBlasThreads:
+    @staticmethod
+    def imported_env(env):
+        code = ("import os, lsar; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return out.split()
+
+    def base_env(self):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        return env
+
+    def test_default_is_one_thread(self):
+        assert self.imported_env(self.base_env()) == ["1", "1"]
+
+    def test_user_value_wins(self):
+        env = self.base_env()
+        env["OPENBLAS_NUM_THREADS"] = "2"
+        assert self.imported_env(env) == ["2", "1"]
+
+    def test_reports_record_threads_and_numpy(self, tmp_path):
+        gen = series_file(tmp_path, np.random.default_rng(1).normal(size=500).tolist())
+        out = tmp_path / "run.csv"
+        assert run(["lsar", "--input", gen, "--pbar", "3", "--fraction", "0.2",
+                    "--out", str(out)]) == 0
+        with open(out) as fh:
+            meta = dict(ln[2:].strip().split("=", 1) for ln in fh if ln.startswith("# "))
+        assert meta["blas_threads"] == os.environ["OPENBLAS_NUM_THREADS"]
+        assert meta["numpy"] == np.__version__
+        assert "threads" not in meta
+
+    def test_threads_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["--threads", "2", "fit", "--input", "x", "--p", "1"])

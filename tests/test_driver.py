@@ -13,6 +13,7 @@ from lsar import (
     generate_ar,
     run_lsar,
 )
+from lsar.recursion import approximate_sweep
 
 FRACTION_RULE = SampleSizeRule(SizeMode.FRACTION, fraction=0.05)
 
@@ -94,6 +95,22 @@ class TestRunLsar:
             result.pacf.per_lag_bandwidth,
             [2.0 * 1.96 / np.sqrt(r.sample_size) for r in result.per_order_log],
         )
+
+    def test_final_fit_is_the_sweeps_own_fit(self):
+        y = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 20_000, seed=5))
+        cfg = LsarConfig(max_order=8, size_rule=FRACTION_RULE, seed=2,
+                         bandwidth_multiplier=2.0)
+        result = run_lsar(y, cfg)
+        assert result.selected_order >= 1
+        sweep = list(approximate_sweep(y, cfg.max_order, cfg.size_rule, cfg.seed,
+                                       delta0=cfg.delta0, window_offset=cfg.max_order))
+        own = sweep[result.selected_order - 1].fit
+        assert result.final_fit.source is FitSource.SAMPLED
+        assert result.final_fit.order == own.order
+        assert np.array_equal(result.final_fit.coefficients, own.coefficients)
+        assert np.array_equal(result.final_fit.residuals, own.residuals)
+        assert result.final_fit.residual_norm == own.residual_norm
+        assert result.final_fit.noise_variance == own.noise_variance
 
     def test_refit_full_uses_full_design(self):
         y = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 20_000, seed=5))

@@ -6,6 +6,7 @@ from lsar import (
     DataError,
     LeverageScores,
     Provenance,
+    RankDeficiencyError,
     SampleSizeRule,
     SizeMode,
     TimeSeries,
@@ -114,6 +115,29 @@ class TestConditioning:
         singular = np.linalg.svd(a, compute_uv=False)
         np.testing.assert_allclose(smax, singular[0], rtol=1e-5)
         np.testing.assert_allclose(smin, singular[-1], rtol=1e-5)
+
+
+    def test_triangular_spectrum_when_start_vector_is_an_eigenvector(self):
+        # R^T R has the all-ones vector as an eigenvector whose eigenvalue is
+        # neither the largest nor the smallest, the start that stalls power
+        # iteration.
+        p = 4
+        basis, _ = np.linalg.qr(
+            np.column_stack([np.ones(p), np.random.default_rng(3).normal(size=(p, p - 1))])
+        )
+        gram = basis @ np.diag([2.0, 5.0, 1.0, 0.5]) @ basis.T
+        r = np.linalg.cholesky(gram).T
+        smax, smin = _triangular_spectrum(r)
+        singular = np.linalg.svd(r, compute_uv=False)
+        np.testing.assert_allclose(smax / smin, singular[0] / singular[-1], rtol=1e-12)
+        np.testing.assert_allclose(smax / smin, np.sqrt(10.0), rtol=1e-12)
+
+    def test_triangular_spectrum_zero_diagonal_rank_deficient(self):
+        r = np.triu(np.ones((3, 3)))
+        r[1, 1] = 0.0
+        with pytest.raises(RankDeficiencyError) as err:
+            _triangular_spectrum(r)
+        assert err.value.numerical_rank == 2
 
 
 class TestRatioStudy:

@@ -13,7 +13,7 @@ from lsar import (
     make_design,
     select_order,
 )
-from lsar.exact import solve_ols
+from lsar.exact import _qr, solve_ols
 
 from conftest import hat_diagonal
 
@@ -51,13 +51,58 @@ class TestFitOls:
             assert np.max(np.abs(x.T @ fit.residuals)) <= 1e-8 * scale
 
 
+def panel(a, b):
+    return np.asfortranarray(np.column_stack([a, b]))
+
+
 class TestSolveOls:
     def test_matches_lstsq(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(40, 6))
         b = rng.normal(size=40)
         expected = np.linalg.lstsq(a, b, rcond=None)[0]
-        np.testing.assert_allclose(solve_ols(a, b), expected, atol=1e-10)
+        np.testing.assert_allclose(solve_ols(panel(a, b)), expected, atol=1e-10)
+
+    def test_ill_conditioned_matches_lstsq(self):
+        rng = np.random.default_rng(6)
+        u, _ = np.linalg.qr(rng.normal(size=(200, 6)))
+        v, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        a = u @ np.diag(np.logspace(0, -8, 6)) @ v.T
+        assert 0.5e8 < np.linalg.cond(a) < 2e8
+        b = a @ rng.normal(size=6) + 1e-3 * rng.normal(size=200)
+        expected = np.linalg.lstsq(a, b, rcond=None)[0]
+        phi = solve_ols(panel(a, b))
+        # At kappa 1e8 the coefficients themselves are only determined to
+        # about kappa * eps; the fitted values are well posed.
+        np.testing.assert_allclose(
+            a @ phi, a @ expected, atol=1e-10 * np.linalg.norm(b)
+        )
+        np.testing.assert_allclose(phi, expected, rtol=1e-6)
+
+    def test_panel_is_overwritten_in_place(self):
+        rng = np.random.default_rng(7)
+        a = panel(rng.normal(size=(30, 3)), rng.normal(size=30))
+        before = a.copy()
+        solve_ols(a)
+        assert not np.array_equal(a, before)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_rank_deficiency_reports_same_rank_as_full_qr(self, p):
+        rng = np.random.default_rng(p)
+        x = rng.normal(size=(50, p))
+        x[:, -1] = 2.0 * x[:, 0]
+        with pytest.raises(RankDeficiencyError) as full_qr:
+            _qr(x, p)
+        with pytest.raises(RankDeficiencyError) as r_only:
+            solve_ols(panel(x, rng.normal(size=50)))
+        assert r_only.value.numerical_rank == full_qr.value.numerical_rank == p - 1
+        assert r_only.value.required_rank == p
+
+    def test_fewer_rows_than_columns_rank_deficient(self):
+        rng = np.random.default_rng(8)
+        with pytest.raises(RankDeficiencyError) as err:
+            solve_ols(panel(rng.normal(size=(2, 4)), rng.normal(size=2)))
+        assert err.value.numerical_rank == 2
 
 
 class TestExactLeverage:

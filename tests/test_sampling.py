@@ -154,6 +154,19 @@ class TestReducedFit:
         )
         assert fit.residual_norm >= fit_ols(design).residual_norm - 1e-12
 
+    def test_hand_built_plan_matches_weighted_lstsq(self, ar2_series):
+        design = make_design(ar2_series, 3)
+        plan = SamplingPlan(
+            indices=np.array([0, 7, 7, 42, 100, 2500, 4996], dtype=np.int64),
+            weights=np.array([0.5, 1.0, 1.0, 2.0, 0.25, 3.0, 1.5]),
+            source_distribution_checksum="",
+        )
+        fit = reduced_fit(design, plan)
+        x_w = design.materialize()[plan.indices] * plan.weights[:, None]
+        y_w = design.responses[plan.indices] * plan.weights
+        expected = np.linalg.lstsq(x_w, y_w, rcond=None)[0]
+        np.testing.assert_allclose(fit.coefficients, expected, atol=1e-10)
+
     def test_out_of_range_indices_rejected(self, ar1_series):
         design = make_design(ar1_series, 2)
         bad = SamplingPlan(
