@@ -13,12 +13,14 @@ summary lines are prefixed ``lsar:`` for scraping.  Exit codes: 2 usage,
 from __future__ import annotations
 
 import argparse
-import os
+import functools
+import itertools
 import sys
+import warnings
 
 import numpy as np
 
-from . import evalbench, report
+from . import BLAS_THREADS, evalbench, report
 from .driver import DeltaMode, LsarConfig, run_lsar
 from .errors import DataError, IngestError, LsarError, NumericalError
 from .exact import exact_pacf, fit_ols
@@ -39,28 +41,42 @@ def fmt(value: float) -> str:
     return report.FLOAT_FORMAT % value
 
 
+# The line scan skips lines that start with ``#`` wherever they are, which
+# numpy's reader would parse, and float() rejects the separators
+# \x1c-\x1f that numpy strips as whitespace.  Files holding any of these
+# characters are read by the scan alone.
+SCAN_ONLY_CHARS = "#\x1c\x1d\x1e\x1f"
+
+
 def read_series(path: str, column: str | None = None, delimiter: str = ",",
                 has_header: bool | None = None) -> TimeSeries:
     """Load one numeric column from a delimited text file.
 
     ``column`` may be a header name or a 0-based index.  With the default
     arguments this reads the single-column files written by ``generate``
-    and ``ingest``.
+    and ``ingest``.  Blank lines and lines starting with ``#`` are skipped.
+    The column is parsed by numpy's C reader; a file that reader rejects, or
+    might read differently, is parsed line by line, which names the first
+    bad row.
     """
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    except OSError as err:
+            for skipped, first in enumerate(fh):
+                if first.strip() and not first.startswith("#"):
+                    break
+            else:
+                raise IngestError(f"{path} contains no data rows")
+            chunks = itertools.chain([first], iter(functools.partial(fh.read, 1 << 20), ""))
+            scan_only = any(c in chunk for chunk in chunks for c in SCAN_ONLY_CHARS)
+    except (OSError, UnicodeDecodeError) as err:
         raise IngestError(f"cannot read {path}: {err}") from err
-    if not lines:
-        raise IngestError(f"{path} contains no data rows")
-    first = lines[0].split(delimiter)
+    fields = first.strip().split(delimiter)
     header: list[str] | None = None
     if has_header is None:
-        has_header = not _is_number(first[0])
+        has_header = not _is_number(fields[0])
     if has_header:
-        header = [h.strip() for h in first]
-        lines = lines[1:]
+        header = [h.strip() for h in fields]
+        skipped += 1
     if column is None:
         if header is not None and len(header) > 1:
             raise IngestError(
@@ -74,6 +90,34 @@ def read_series(path: str, column: str | None = None, delimiter: str = ",",
             available = header if header is not None else "(no header row)"
             raise IngestError(f"column {column!r} not found; available: {available}")
         col_idx = header.index(column)
+    values = None
+    # Splitting a stripped line on whitespace is not how numpy splits it.
+    if not scan_only and len(delimiter) == 1 and not delimiter.isspace():
+        try:
+            with warnings.catch_warnings():
+                # A file without data rows reads as empty; TimeSeries rejects it.
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(path, delimiter=delimiter, comments=None,
+                                    usecols=col_idx, skiprows=skipped, ndmin=1)
+        except (ValueError, OverflowError, OSError):
+            pass
+    if values is None:
+        values = _scan_column(path, col_idx, delimiter, has_header)
+    if not np.all(np.isfinite(values)):
+        bad = int(np.flatnonzero(~np.isfinite(values))[0]) + (2 if has_header else 1)
+        raise IngestError(f"{path}: non-finite value at row {bad}")
+    return TimeSeries(values)
+
+
+def _scan_column(path: str, col_idx: int, delimiter: str, has_header: bool) -> np.ndarray:
+    """Parse column ``col_idx`` line by line; errors name the data row."""
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    except (OSError, UnicodeDecodeError) as err:
+        raise IngestError(f"cannot read {path}: {err}") from err
+    if has_header:
+        lines = lines[1:]
     values = np.empty(len(lines))
     for row_no, line in enumerate(lines):
         fields = line.split(delimiter)
@@ -84,10 +128,7 @@ def read_series(path: str, column: str | None = None, delimiter: str = ",",
             raise IngestError(
                 f"{path}: cannot parse column {col_idx} at row {data_row}: {err}"
             ) from err
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0]) + (2 if has_header else 1)
-        raise IngestError(f"{path}: non-finite value at row {bad}")
-    return TimeSeries(values)
+    return values
 
 
 def _is_number(token: str) -> bool:
@@ -108,12 +149,11 @@ def write_series(path: str, series: TimeSeries):
 def runtime_metadata() -> dict:
     """What a report needs to diagnose a run: BLAS threads and numpy version.
 
-    ``blas_threads`` is the environment value after the package default;
-    ``Generator.choice`` streams are not promised stable across numpy
-    releases, hence the version.
+    ``blas_threads`` is the setting numpy's BLAS was loaded with (see
+    ``lsar.BLAS_THREADS``); ``Generator.choice`` streams are not promised
+    stable across numpy releases, hence the version.
     """
-    return {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", ""),
-            "numpy": np.__version__}
+    return {"blas_threads": BLAS_THREADS, "numpy": np.__version__}
 
 
 def _size_rule(args) -> SampleSizeRule:

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import DataError, RankDeficiencyError
 from .exact import LeverageScores, exact_leverage, fit_ols
 from .recursion import approximate_sweep
-from .sampling import RNG_NAME, SampleSizeRule, SamplingPlan, distribution_checksum, \
-    draw_plan, make_rng, reduced_fit
+from .sampling import RNG_NAME, SampleSizeRule, SamplingPlan, draw_plan, make_rng, \
+    reduced_fit
 from .series import ARGeneratorSpec, TimeSeries, generate_ar, make_design
 
 LAG_HEADER = ("p", "mpre", "bound_linear", "bound_log", "time_exact", "time_approx")
@@ -149,11 +149,10 @@ def uniform_plan(m_rows: int, s: int, *seed_words) -> SamplingPlan:
     """Uniform with-replacement baseline plan with the matching rescaling."""
     rng = make_rng(*seed_words)
     indices = rng.integers(0, m_rows, size=s)
-    pi = np.full(m_rows, 1.0 / m_rows)
     return SamplingPlan(
         indices=indices.astype(np.int64),
         weights=np.full(s, math.sqrt(m_rows / s)),
-        source_distribution_checksum=distribution_checksum(pi),
+        source_distribution=np.full(m_rows, 1.0 / m_rows),
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
-from .errors import DataError, RankDeficiencyError
+from .errors import DataError, NumericalError, RankDeficiencyError
 from .series import ARDesign, TimeSeries, make_design
 
 RANK_RTOL = 1e-10
@@ -73,6 +73,8 @@ class LeverageScores:
     @classmethod
     def from_scores(cls, order, scores, provenance, clamp_count=0):
         total = scores.sum()
+        if not math.isfinite(total):
+            raise NumericalError(f"leverage scores sum to {total}; no sampling distribution")
         if total <= 0:
             raise DataError("all leverage scores are zero; no sampling distribution")
         return cls(order, scores, provenance, scores / total, clamp_count)

@@ -18,12 +18,14 @@ in the sweep has the same length ``n - p``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import DataError, DistributionError, RankDeficiencyError, ZeroResidualError
+from .errors import DataError, DistributionError, NumericalError, RankDeficiencyError, \
+    ZeroResidualError
 from .exact import ARFit, LeverageScores, Provenance, fit_ols
 from .sampling import SampleSizeRule, SamplingPlan, distribution_checksum, draw_plan, \
     reduced_fit, sample_size
@@ -60,8 +62,17 @@ class RecursionState:
 def ar1_scores(series: TimeSeries, provenance=Provenance.EXACT) -> LeverageScores:
     """Base case: order-1 scores are ``y_i^2 / sum_{t<n} y_t^2``."""
     y = series.values
-    total = float(np.dot(y[:-1], y[:-1]))
+    with np.errstate(over="ignore"):
+        total = float(np.dot(y[:-1], y[:-1]))
+    if not math.isfinite(total):
+        raise NumericalError(
+            "order-1 scores undefined: the sum of squared lagged values overflows"
+        )
     if total <= 0:
+        if np.any(y[:-1]):
+            raise NumericalError(
+                "order-1 scores undefined: the squares of the lagged values underflow"
+            )
         raise DataError("order-1 scores undefined: all lagged values are zero")
     return LeverageScores.from_scores(1, y[:-1] ** 2 / total, provenance)
 

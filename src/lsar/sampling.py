@@ -14,6 +14,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,32 +41,45 @@ def distribution_checksum(distribution: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """With-replacement row draws plus their rescaling weights."""
+    """With-replacement row draws plus their rescaling weights.
+
+    ``source_distribution`` is the read-only distribution the rows were
+    drawn from, kept by reference; it is hashed only when the audit
+    checksum is read.  Hand-built plans may leave it out.
+    """
 
     indices: np.ndarray
     weights: np.ndarray
-    source_distribution_checksum: str
+    source_distribution: np.ndarray | None = None
 
     def __post_init__(self):
         self.indices.setflags(write=False)
         self.weights.setflags(write=False)
+        if self.source_distribution is not None:
+            self.source_distribution.setflags(write=False)
 
     @property
     def size(self) -> int:
         return self.indices.size
 
+    @cached_property
+    def source_distribution_checksum(self) -> str:
+        """Audit hash of the source distribution; empty when it is unknown."""
+        if self.source_distribution is None:
+            return ""
+        return distribution_checksum(self.source_distribution)
+
     @classmethod
     def identity(cls, m_rows: int) -> "SamplingPlan":
         """Every row exactly once with unit weight (S = I up to scaling).
 
-        The checksum matches the uniform distribution, for which s = m makes
-        every weight 1/sqrt(m * 1/m) = 1.
+        The source is the uniform distribution, for which s = m makes every
+        weight 1/sqrt(m * 1/m) = 1.
         """
-        uniform = np.full(m_rows, 1.0 / m_rows)
         return cls(
             indices=np.arange(m_rows, dtype=np.int64),
             weights=np.ones(m_rows),
-            source_distribution_checksum=distribution_checksum(uniform),
+            source_distribution=np.full(m_rows, 1.0 / m_rows),
         )
 
 
@@ -162,7 +176,7 @@ def draw_plan(scores: LeverageScores, s: int, *seed_words) -> SamplingPlan:
     return SamplingPlan(
         indices=indices.astype(np.int64),
         weights=weights,
-        source_distribution_checksum=distribution_checksum(pi),
+        source_distribution=pi,
     )
 
 

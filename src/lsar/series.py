@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import lfilter
 
 from .errors import DataError, DivergenceError, NonpositiveValueError, OrderRangeError
 
@@ -48,8 +47,17 @@ class TimeSeries:
         return self.values.size
 
     def prefix(self, m: int) -> "TimeSeries":
-        """First ``m`` observations, as a view-backed series."""
-        return TimeSeries(self.values[:m])
+        """First ``m`` observations, as a view-backed series.
+
+        The values were validated when this series was built, so only the
+        length is checked again.
+        """
+        values = self.values[:m]
+        if values.size < 2:
+            raise DataError(f"series needs at least 2 observations, got {values.size}")
+        view = object.__new__(TimeSeries)
+        object.__setattr__(view, "values", values)
+        return view
 
 
 @dataclass(frozen=True)
@@ -206,6 +214,10 @@ def generate_ar(spec: ARGeneratorSpec) -> TimeSeries:
     if spec.order == 0:
         y = w
     else:
+        # Imported here: scipy.signal takes longer to import than the rest
+        # of lsar, and no other command needs it.
+        from scipy.signal import lfilter
+
         a = np.concatenate(([1.0], -spec.coefficients))
         y = lfilter([1.0], a, w)
     peak = float(np.max(np.abs(y)))

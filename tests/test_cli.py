@@ -5,10 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lsar import report
+import lsar
+from lsar import IngestError, LsarError, cli, generate_ar, report
 from lsar.cli import EXIT_DATA, EXIT_NUMERICAL, main, read_series, write_series
-from lsar.series import TimeSeries
+from lsar.series import ARGeneratorSpec, TimeSeries
 
 
 def run(argv):
@@ -88,6 +91,133 @@ class TestIngest:
         assert "row 3" in capsys.readouterr().err
 
 
+def line_scan_read_series(path, column=None, delimiter=",", has_header=None):
+    """Reference semantics of ``read_series``: every line parsed in Python."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    if not lines:
+        raise IngestError(f"{path} contains no data rows")
+    first = lines[0].split(delimiter)
+    header = None
+    if has_header is None:
+        has_header = not cli._is_number(first[0])
+    if has_header:
+        header = [h.strip() for h in first]
+        lines = lines[1:]
+    if column is None:
+        if header is not None and len(header) > 1:
+            raise IngestError(f"{path} has {len(header)} columns; pick one of {header}")
+        col_idx = 0
+    elif column.isdigit() or (column.startswith("-") and column[1:].isdigit()):
+        col_idx = int(column)
+    else:
+        if header is None or column not in header:
+            available = header if header is not None else "(no header row)"
+            raise IngestError(f"column {column!r} not found; available: {available}")
+        col_idx = header.index(column)
+    values = np.empty(len(lines))
+    for row_no, line in enumerate(lines):
+        fields = line.split(delimiter)
+        try:
+            values[row_no] = float(fields[col_idx])
+        except (IndexError, ValueError) as err:
+            data_row = row_no + (2 if has_header else 1)
+            raise IngestError(
+                f"{path}: cannot parse column {col_idx} at row {data_row}: {err}"
+            ) from err
+    if not np.all(np.isfinite(values)):
+        bad = int(np.flatnonzero(~np.isfinite(values))[0]) + (2 if has_header else 1)
+        raise IngestError(f"{path}: non-finite value at row {bad}")
+    return TimeSeries(values)
+
+
+def outcome(reader, *args):
+    """The values' bytes, or the error's type and message."""
+    try:
+        return "ok", reader(*args).values.tobytes()
+    except LsarError as err:
+        return type(err).__name__, str(err)
+
+
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_0", "nan", "-inf", "-0", " 2.5 ", "1e400", "1e-400", ".5",
+                     "+3", "oops", "", "1.5 # note", "#x", "4\x1c", "y", "close"]),
+)
+
+
+@st.composite
+def delimited_files(draw):
+    """(text, delimiter): numbers, blank and ``#`` lines, headers, ragged rows."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    row = st.lists(CELLS, min_size=1, max_size=3).map(delimiter.join)
+    special = st.sampled_from(["", "   ", "# note", "#5", f"#{delimiter}5", "y",
+                               f"t{delimiter}close{delimiter}volume", f"{delimiter}7"])
+    lines = draw(st.lists(st.one_of(row, row, row, special), max_size=12))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    return text, delimiter
+
+
+class TestReadSeries:
+    @given(case=delimited_files(),
+           column=st.sampled_from([None, "0", "1", "-1", "2", "close", "y"]),
+           has_header=st.sampled_from([None, True, False]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_line_scan(self, tmp_path_factory, case, column, has_header):
+        text, delimiter = case
+        path = str(tmp_path_factory.getbasetemp() / "mixed.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        args = (path, column, delimiter, has_header)
+        assert outcome(read_series, *args) == outcome(line_scan_read_series, *args)
+
+    def test_plain_files_skip_the_line_scan(self, tmp_path, monkeypatch):
+        values = np.random.default_rng(2).normal(size=200)
+        single = series_file(tmp_path, values)
+        multi = tmp_path / "multi.csv"
+        multi.write_text("# source: test\n\nt,close,volume\n"
+                         + "".join(f"{t},{v!r},7\n" for t, v in enumerate(values.tolist())))
+
+        def no_scan(*args):
+            raise AssertionError("line scan used")
+
+        monkeypatch.setattr(cli, "_scan_column", no_scan)
+        assert read_series(single).values.tobytes() == values.tobytes()
+        assert read_series(str(multi), "close").values.tobytes() == values.tobytes()
+
+    def test_comment_line_in_other_column_is_skipped(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("a,b\n1,2\n#,5\n3,4\n")
+        np.testing.assert_array_equal(read_series(str(path), "b").values, [2.0, 4.0])
+
+    def test_leading_tab_is_stripped_before_splitting(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("\t1\t2\n\t3\t4\n")
+        np.testing.assert_array_equal(
+            read_series(str(path), "1", delimiter="\t").values, [2.0, 4.0])
+
+    def test_separator_control_character_is_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("a,b\n1\x1c,2\n3,4\n")
+        with pytest.raises(IngestError, match="at row 2"):
+            read_series(str(path), "a")
+
+    def test_undecodable_file_is_ingest_error(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"y\n1\n\xff\xfe\n")
+        with pytest.raises(IngestError, match="cannot read"):
+            read_series(str(path))
+
+    def test_cli_import_leaves_out_scipy_signal(self):
+        code = "import sys, lsar.cli; print('scipy.signal' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
+
 class TestFit:
     def test_hand_system(self, tmp_path, capsys):
         path = series_file(tmp_path, [1.0, 2.0, 3.0])
@@ -137,6 +267,18 @@ class TestLsar:
         header = body_lines(out_a)[0].strip().split(",")
         assert header == ["p", "window", "s", "clamp_count", "residual_norm",
                           "pacf", "bandwidth"]
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_extreme_scale_is_numerical_error(self, tmp_path, capsys, scale):
+        # The squares of the values overflow (1e160) or underflow to zero
+        # (1e-170) although every value is finite and nonzero.
+        y = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 50_000, seed=3))
+        path = series_file(tmp_path, y.values * scale)
+        code = run(["lsar", "--input", path, "--pbar", "10", "--fraction", "0.01"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert "NumericalError" in err
+        assert "all lagged values are zero" not in err
 
     def test_zero_residual_abort_reported(self, tmp_path, capsys):
         path = series_file(tmp_path, (0.5 ** np.arange(200)).tolist())
@@ -233,6 +375,25 @@ class TestBlasThreads:
         env["OPENBLAS_NUM_THREADS"] = "2"
         assert self.imported_env(env) == ["2", "1"]
 
+    @staticmethod
+    def reported_threads(env, numpy_first):
+        code = ("import numpy; " if numpy_first else "") + (
+            "from lsar.cli import runtime_metadata; "
+            "print(runtime_metadata()['blas_threads'])")
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    def test_metadata_when_lsar_loads_numpy(self):
+        assert self.reported_threads(self.base_env(), numpy_first=False) == "1"
+
+    def test_metadata_when_numpy_was_loaded_first(self):
+        env = self.base_env()
+        assert (self.reported_threads(env, numpy_first=True)
+                == "default (numpy loaded before lsar)")
+        env["OPENBLAS_NUM_THREADS"] = "2"
+        assert (self.reported_threads(env, numpy_first=True)
+                == "2 (numpy loaded before lsar)")
+
     def test_reports_record_threads_and_numpy(self, tmp_path):
         gen = series_file(tmp_path, np.random.default_rng(1).normal(size=500).tolist())
         out = tmp_path / "run.csv"
@@ -240,7 +401,9 @@ class TestBlasThreads:
                     "--out", str(out)]) == 0
         with open(out) as fh:
             meta = dict(ln[2:].strip().split("=", 1) for ln in fh if ln.startswith("# "))
-        assert meta["blas_threads"] == os.environ["OPENBLAS_NUM_THREADS"]
+        # The test process may have loaded numpy first; the subprocess tests
+        # above pin both import orders.
+        assert meta["blas_threads"] == lsar.BLAS_THREADS
         assert meta["numpy"] == np.__version__
         assert "threads" not in meta
 

@@ -4,6 +4,9 @@ import pytest
 from lsar import (
     ARGeneratorSpec,
     DataError,
+    LeverageScores,
+    NumericalError,
+    Provenance,
     RankDeficiencyError,
     TimeSeries,
     exact_leverage,
@@ -106,6 +109,11 @@ class TestSolveOls:
 
 
 class TestExactLeverage:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_score_sum_is_numerical_error(self, bad):
+        with pytest.raises(NumericalError):
+            LeverageScores.from_scores(1, np.array([0.5, bad]), Provenance.EXACT)
+
     def test_order_one_closed_form(self):
         scores = exact_leverage(make_design(TimeSeries(np.array([1.0, 2, 3])), 1))
         np.testing.assert_allclose(scores.scores, [0.2, 0.8], atol=1e-14)

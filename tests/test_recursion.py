@@ -86,12 +86,12 @@ class TestQuasiScores:
             window = ar1_series.prefix(ar1_series.n - 1)
             prev = exact_recursive_scores(window, p - 1)
             plan = SamplingPlan.identity(window.n - (p - 1))
-            # The identity plan carries the uniform checksum; rebuild it
-            # against the exact distribution it claims to come from.
+            # The identity plan's source is the uniform distribution; rebuild
+            # it against the exact distribution it claims to come from.
             plan = SamplingPlan(
                 indices=plan.indices,
                 weights=plan.weights,
-                source_distribution_checksum=_checksum(prev),
+                source_distribution=prev.distribution,
             )
             quasi = quasi_scores(ar1_series, p, plan)
             exact = exact_recursive_scores(ar1_series, p)
@@ -102,6 +102,12 @@ class TestQuasiScores:
         window = ar1_series.prefix(ar1_series.n - 1)
         wrong = exact_leverage(make_design(window, 3))
         plan = draw_plan(wrong, 50, 0)
+        with pytest.raises(DistributionError):
+            quasi_scores(ar1_series, 2, plan)
+
+    def test_rejects_plan_without_source(self, ar1_series):
+        plan = SamplingPlan(indices=np.arange(10), weights=np.ones(10))
+        assert plan.source_distribution_checksum == ""
         with pytest.raises(DistributionError):
             quasi_scores(ar1_series, 2, plan)
 
@@ -135,12 +141,6 @@ class TestQuasiScores:
             )
             hits += deviation <= bound
         assert hits >= 45
-
-
-def _checksum(scores):
-    from lsar.sampling import distribution_checksum
-
-    return distribution_checksum(scores.distribution)
 
 
 class TestFullyApproxScores:

@@ -50,6 +50,20 @@ class TestDrawPlan:
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.source_distribution_checksum == b.source_distribution_checksum
 
+    def test_checksum_is_computed_when_read(self, monkeypatch):
+        import lsar.sampling
+
+        hashed = []
+        real = lsar.sampling.distribution_checksum
+        monkeypatch.setattr(lsar.sampling, "distribution_checksum",
+                            lambda pi: hashed.append(pi) or real(pi))
+        scores = scores_from_distribution(np.arange(1.0, 11.0))
+        plan = draw_plan(scores, 5, 1)
+        assert hashed == []
+        assert plan.source_distribution is scores.distribution
+        assert plan.source_distribution_checksum == real(scores.distribution)
+        assert len(hashed) == 1
+
     def test_empirical_frequencies_match_distribution(self):
         rng = np.random.default_rng(0)
         raw = rng.exponential(size=100_000)
@@ -159,7 +173,6 @@ class TestReducedFit:
         plan = SamplingPlan(
             indices=np.array([0, 7, 7, 42, 100, 2500, 4996], dtype=np.int64),
             weights=np.array([0.5, 1.0, 1.0, 2.0, 0.25, 3.0, 1.5]),
-            source_distribution_checksum="",
         )
         fit = reduced_fit(design, plan)
         x_w = design.materialize()[plan.indices] * plan.weights[:, None]
@@ -172,7 +185,6 @@ class TestReducedFit:
         bad = SamplingPlan(
             indices=np.array([design.row_count], dtype=np.int64),
             weights=np.array([1.0]),
-            source_distribution_checksum="",
         )
         with pytest.raises(DistributionError):
             reduced_fit(design, bad)
@@ -183,7 +195,6 @@ class TestReducedFit:
         plan = SamplingPlan(
             indices=np.zeros(3, dtype=np.int64),
             weights=np.ones(3),
-            source_distribution_checksum="",
         )
         with pytest.raises(RankDeficiencyError):
             reduced_fit(design, plan)

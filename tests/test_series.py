@@ -42,6 +42,19 @@ class TestTimeSeries:
         assert series.prefix(4).n == 4
         np.testing.assert_array_equal(series.prefix(4).values, [0, 1, 2, 3])
 
+    def test_prefix_is_a_read_only_view(self):
+        series = TimeSeries(np.arange(10.0))
+        head = series.prefix(4)
+        assert np.shares_memory(head.values, series.values)
+        assert not head.values.flags.writeable
+        with pytest.raises(DataError):
+            series.prefix(1)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_outside_data_is_validated(self, bad):
+        with pytest.raises(DataError, match="index 1"):
+            TimeSeries([0.0, bad, 2.0])
+
 
 class TestMakeDesign:
     def test_four_points_order_two(self):
