@@ -59,6 +59,8 @@ def read_series(path: str, column: str | None = None, delimiter: str = ",",
     might read differently, is parsed line by line, which names the first
     bad row.
     """
+    if not delimiter:
+        raise IngestError("the delimiter must not be empty")
     try:
         with open(path) as fh:
             for skipped, first in enumerate(fh):

@@ -138,6 +138,10 @@ def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
             )
         )
         coefficients.append(state.fit.coefficients)
+        # Let go of this order's scores and residuals before the sweep
+        # computes the next order, so they are freed as soon as it has
+        # advanced the scores.
+        del state
         t0 = t1
 
     estimates = np.array([r.pacf_estimate for r in records])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +35,6 @@ class BoundInputs:
     kappa: float
     xi: float
     eta: float
-
-
-@dataclass
-class EvalReport:
-    experiment: str
-    metadata: dict
-    lag_rows: list = field(default_factory=list)
-    size_rows: list = field(default_factory=list)
 
 
 def _triangular_spectrum(r: np.ndarray) -> tuple[float, float]:

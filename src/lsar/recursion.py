@@ -89,13 +89,16 @@ def _advance(scores: LeverageScores, fit: ARFit, provenance: Provenance):
     they are clamped before the distribution is formed and the clamp count
     is reported.  Exact scores are never clamped.
     """
-    updated = scores.scores + fit.residuals**2 / fit.residual_norm**2
-    if provenance is Provenance.EXACT:
-        clamp_count = 0
-    else:
-        out_of_range = (updated < 0.0) | (updated > 1.0)
-        clamp_count = int(np.count_nonzero(out_of_range))
-        updated = np.clip(updated, 0.0, 1.0)
+    updated = np.square(fit.residuals)
+    updated /= fit.residual_norm**2
+    updated += scores.scores
+    clamp_count = 0
+    if provenance is not Provenance.EXACT:
+        # Both terms are nonnegative, so only the upper bound can be crossed.
+        over = updated > 1.0
+        clamp_count = int(np.count_nonzero(over))
+        if clamp_count:
+            updated[over] = 1.0
     return LeverageScores.from_scores(
         fit.order + 1, updated, provenance, clamp_count=clamp_count
     )
@@ -174,17 +177,23 @@ def approximate_sweep(
         )
     if delta_for_order is None and delta0 is not None:
         delta_for_order = lambda q: delta0 / q
-    scores = None
-    prev: RecursionState | None = None
+    scores = fit = None
     for q in range(1, target_order + 1):
         window = series.prefix(n - offset + q)
         if q == 1:
             scores = ar1_scores(window, Provenance.EXACT)
+            # |window|^2, grown by one square per order below.
+            window_norm2 = float(np.dot(window.values, window.values))
         else:
+            last = float(window.values[-1])
+            window_norm2 += last * last
             # A perfect previous fit makes the increment 0/0; abort rather
             # than mask it, since every later order would inherit the damage.
-            _check_residual(prev.fit, float(np.linalg.norm(window.values)))
-            scores = _advance(scores, prev.fit, Provenance.FULLY_APPROXIMATE)
+            _check_residual(fit, math.sqrt(window_norm2))
+            scores = _advance(scores, fit, Provenance.FULLY_APPROXIMATE)
+            # Spent: once the consumer has let go of the last state, as
+            # run_lsar does, its arrays are freed before this order's solve.
+            fit = None
         delta = None if delta_for_order is None else delta_for_order(q)
         design = make_design(window, q)
         if identity_plans:
@@ -193,8 +202,7 @@ def approximate_sweep(
         else:
             s = sample_size(size_rule, q, window.n, delta=delta)
             fit = _reduced_fit_with_retry(design, scores, s, seed, q)
-        prev = RecursionState(p=q, scores=scores, fit=fit, window=window.n, sample_size=s)
-        yield prev
+        yield RecursionState(p=q, scores=scores, fit=fit, window=window.n, sample_size=s)
 
 
 def _reduced_fit_with_retry(design, scores, s, seed, q):

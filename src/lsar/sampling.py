@@ -170,11 +170,15 @@ def draw_plan(scores: LeverageScores, s: int, *seed_words) -> SamplingPlan:
     if s < 1:
         raise SampleSizeError(f"sample size must be >= 1, got {s}")
     pi = scores.distribution
-    rng = make_rng(*seed_words)
-    indices = rng.choice(pi.size, size=s, replace=True, p=pi)
+    # Inverse-CDF draws, the computation ``Generator.choice(p=pi)`` performs,
+    # without its re-checks that pi is finite, nonnegative and sums to one:
+    # ``LeverageScores`` guarantees all three.
+    cdf = np.cumsum(pi)
+    cdf /= cdf[-1]
+    indices = np.searchsorted(cdf, make_rng(*seed_words).random(s), side="right")
     weights = 1.0 / np.sqrt(s * pi[indices])
     return SamplingPlan(
-        indices=indices.astype(np.int64),
+        indices=indices,
         weights=weights,
         source_distribution=pi,
     )

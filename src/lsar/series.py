@@ -126,12 +126,14 @@ class ARDesign:
         return out
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
-        """Compute ``X @ phi`` in O(n p) without materializing the matrix."""
+        """Compute ``X @ phi`` in O(n p) without materializing the matrix.
+
+        The result is a fresh array, which callers may overwrite.
+        """
         phi = np.asarray(phi, dtype=np.float64)
-        # (X phi)[i] = sum_k phi[k] y[i + p - 1 - k] is a slice of a full
-        # convolution of the series with phi.
-        full = np.convolve(self.series.values, phi, mode="full")
-        return full[self.p - 1: self.series.n - 1]
+        # (X phi)[i] = sum_k phi[k] y[i + p - 1 - k] is the valid-mode
+        # convolution of y[:-1] with phi.
+        return np.convolve(self.series.values[:-1], phi, mode="valid")
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         """Compute ``X.T @ v`` in O(n p) without materializing the matrix."""

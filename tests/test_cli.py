@@ -90,6 +90,14 @@ class TestIngest:
         assert code == EXIT_DATA
         assert "row 3" in capsys.readouterr().err
 
+    def test_empty_delimiter_is_ingest_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("1.0\n2.0\n3.0\n")
+        code = run(["ingest", "--input", str(raw), "--delimiter", "",
+                    "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_DATA
+        assert "IngestError" in capsys.readouterr().err
+
 
 def line_scan_read_series(path, column=None, delimiter=",", has_header=None):
     """Reference semantics of ``read_series``: every line parsed in Python."""

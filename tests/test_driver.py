@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,30 @@ def strip_wall_time(record):
 
 
 class TestRunLsar:
+    def test_previous_residuals_are_freed_before_the_next_draw(self, monkeypatch):
+        # Memory stays at one order's O(n) arrays plus the panel: when order
+        # q draws its plan, no earlier order's residual vector is alive.
+        import lsar.recursion
+
+        residuals = []
+        alive_at_draw = []
+        real_fit, real_draw = lsar.recursion.reduced_fit, lsar.recursion.draw_plan
+
+        def fit_spy(design, plan):
+            fit = real_fit(design, plan)
+            residuals.append(weakref.ref(fit.residuals))
+            return fit
+
+        def draw_spy(*args):
+            alive_at_draw.append(sum(ref() is not None for ref in residuals))
+            return real_draw(*args)
+
+        monkeypatch.setattr(lsar.recursion, "reduced_fit", fit_spy)
+        monkeypatch.setattr(lsar.recursion, "draw_plan", draw_spy)
+        y = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 5000, seed=3))
+        run_lsar(y, LsarConfig(max_order=6, size_rule=FRACTION_RULE, seed=0))
+        assert alive_at_draw == [0] * 6
+
     def test_noiseless_recurrence_aborts_after_perfect_fit(self):
         y = TimeSeries(0.5 ** np.arange(10_000, dtype=float))
         cfg = LsarConfig(max_order=5, size_rule=FRACTION_RULE, seed=0)

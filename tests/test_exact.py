@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack, solve_triangular
 
 from lsar import (
     ARGeneratorSpec,
@@ -16,7 +17,8 @@ from lsar import (
     make_design,
     select_order,
 )
-from lsar.exact import _qr, solve_ols
+import lsar.exact
+from lsar.exact import QR_BLOCK, _qr, solve_ols
 
 from conftest import hat_diagonal
 
@@ -56,6 +58,13 @@ class TestFitOls:
 
 def panel(a, b):
     return np.asfortranarray(np.column_stack([a, b]))
+
+
+def dgeqrf_solve(a):
+    """Reference solve: the blocked Householder QR ``dgeqrf``, R only."""
+    p = a.shape[1] - 1
+    r = lapack.dgeqrf(np.array(a, order="F"))[0]
+    return solve_triangular(r[:p, :p], r[:p, p])
 
 
 class TestSolveOls:
@@ -106,6 +115,38 @@ class TestSolveOls:
         with pytest.raises(RankDeficiencyError) as err:
             solve_ols(panel(rng.normal(size=(2, 4)), rng.normal(size=2)))
         assert err.value.numerical_rank == 2
+
+    @pytest.mark.parametrize("rows, p", [
+        (2, 1), (10, 1), (5000, 1),                          # p + 1 = 2
+        (5, 3), (QR_BLOCK - 1, 6), (QR_BLOCK, QR_BLOCK - 1),  # fewer rows than the block
+        (4, 4), (2, 2),                                      # s = p < p + 1
+        (60, 40), (3000, 40), (18421, 100),
+    ])
+    def test_agrees_with_dgeqrf_reference(self, rows, p):
+        rng = np.random.default_rng(rows * 1000 + p)
+        a = panel(rng.normal(size=(rows, p)), rng.normal(size=rows))
+        expected = dgeqrf_solve(a)
+        phi = solve_ols(a)
+        assert np.linalg.norm(phi - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_empty_panel_is_rank_deficient(self):
+        with pytest.raises(RankDeficiencyError) as err:
+            solve_ols(np.empty((0, 4), order="F"))
+        assert err.value.numerical_rank == 0
+
+    def test_lapack_failure_is_numerical_error(self, monkeypatch):
+        def failing(nb, a, overwrite_a=False):
+            return a, np.zeros((nb, min(a.shape))), -2
+        monkeypatch.setattr(lsar.exact.lapack, "dgeqrt", failing)
+        with pytest.raises(NumericalError, match="info=-2"):
+            solve_ols(panel(np.eye(3), np.ones(3)))
+
+    def test_singular_triangular_solve_is_numerical_error(self, monkeypatch):
+        def singular(r, b):
+            raise np.linalg.LinAlgError("singular matrix")
+        monkeypatch.setattr(lsar.exact, "solve_triangular", singular)
+        with pytest.raises(NumericalError, match="singular"):
+            solve_ols(panel(np.eye(3), np.ones(3)))
 
 
 class TestExactLeverage:

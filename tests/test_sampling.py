@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsar import (
     DistributionError,
@@ -76,6 +78,37 @@ class TestDrawPlan:
         for i in top:
             sd = np.sqrt(s * pi[i] * (1 - pi[i]))
             assert abs(counts[i] - s * pi[i]) <= 3 * sd + 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 20), st.integers(1, 10_000)),
+        shape=st.sampled_from(["dense", "zeros", "denormal", "one_hot"]),
+        content_seed=st.integers(0, 2**32 - 1),
+        seed_words=st.tuples(st.integers(0, 2**31), st.integers(0, 200)),
+        s_fraction=st.floats(0.0, 1.0),
+    )
+    def test_indices_match_generator_choice(self, n, shape, content_seed, seed_words,
+                                            s_fraction):
+        # The inverse-CDF draw must reproduce Generator.choice bit for bit,
+        # so sampled reports keep their stream.
+        rng = np.random.default_rng(content_seed)
+        raw = rng.exponential(size=n)
+        raw /= raw.sum()  # so that denormal entries stay denormal in pi
+        if shape == "zeros":
+            raw[rng.random(n) < 0.7] = 0.0
+            raw[rng.integers(n)] = 1.0
+        elif shape == "denormal":
+            raw[rng.random(n) < 0.5] = 5e-324 * rng.integers(1, 1000)
+        elif shape == "one_hot":
+            raw[:] = 0.0
+            raw[rng.integers(n)] = 1.0
+        s = 1 + int(s_fraction * (2 * n - 1))
+        scores = scores_from_distribution(raw)
+        plan = draw_plan(scores, s, *seed_words)
+        expected = make_rng(*seed_words).choice(
+            n, size=s, replace=True, p=scores.distribution
+        )
+        np.testing.assert_array_equal(plan.indices, expected)
 
     def test_size_must_be_positive(self):
         with pytest.raises(SampleSizeError):

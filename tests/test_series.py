@@ -119,6 +119,22 @@ class TestMakeDesign:
                 design.apply_transpose(v), design.materialize().T @ v, atol=1e-12
             )
 
+    @pytest.mark.parametrize("p", [1, 2, 7, 40, 100])
+    def test_apply_is_the_full_convolution_slice(self, p):
+        # The valid-mode kernel adds the same products in the same order as
+        # the slice of the full convolution it replaced, so the two agree
+        # bit for bit; both match the materialized product.
+        rng = np.random.default_rng(p)
+        y = rng.normal(size=5003)
+        design = make_design(TimeSeries(y), p)
+        phi = rng.normal(size=p)
+        applied = design.apply(phi)
+        np.testing.assert_array_equal(
+            applied, np.convolve(y, phi, mode="full")[p - 1: y.size - 1]
+        )
+        np.testing.assert_allclose(applied, design.materialize() @ phi,
+                                   rtol=1e-12, atol=1e-12)
+
 
 class TestCenter:
     def test_simple(self):
