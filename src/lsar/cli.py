@@ -158,6 +158,30 @@ def runtime_metadata() -> dict:
     return {"blas_threads": BLAS_THREADS, "numpy": np.__version__}
 
 
+def warn_if_uncentred(series: TimeSeries) -> dict:
+    """Say a warning when |mean| exceeds the standard deviation.
+
+    The AR model has no intercept, so it fits such an offset as a
+    near-unit root and selects an order that says nothing about the
+    dynamics around the mean.  Returns the warning as report metadata.
+    """
+    peak = float(np.abs(series.values).max())
+    if peak == 0.0:
+        return {}
+    # Scaled to a peak of 1, the squares behind the std neither overflow
+    # nor underflow, and the comparison does not depend on the scale.
+    unit = series.values / peak
+    mean = abs(float(unit.mean())) * peak
+    std = float(unit.std()) * peak
+    if mean <= std:
+        return {}
+    warning = (f"uncentred input: |mean| {mean:.6g} exceeds std {std:.6g}; "
+               "the model has no intercept, so center the series first "
+               "(ingest --transform center)")
+    say(f"warning={warning}")
+    return {"warning": warning}
+
+
 def _size_rule(args) -> SampleSizeRule:
     if args.fraction is not None:
         return SampleSizeRule(
@@ -245,6 +269,7 @@ def cmd_fit(args) -> int:
 
 def cmd_pacf(args) -> int:
     series = read_series(args.input)
+    uncentred = warn_if_uncentred(series) if args.sampled else {}
     if args.sampled:
         cfg = LsarConfig(
             max_order=args.pbar,
@@ -269,13 +294,14 @@ def cmd_pacf(args) -> int:
         ]
         meta = {"command": "pacf", "mode": mode, "n": series.n, "pbar": args.pbar,
                 "effective_sample": trace.effective_sample, "rng": RNG_NAME,
-                "seed": args.seed, "selected_order": trace.selected_order}
+                "seed": args.seed, "selected_order": trace.selected_order, **uncentred}
         report.write_csv_report(args.out, ["lag", "pacf", "bandwidth"], rows, meta)
     return 0
 
 
 def cmd_lsar(args) -> int:
     series = read_series(args.input)
+    uncentred = warn_if_uncentred(series)
     cfg = LsarConfig(
         max_order=args.pbar,
         size_rule=_size_rule(args),
@@ -309,7 +335,7 @@ def cmd_lsar(args) -> int:
                 "bandwidth_multiplier": args.bandwidth_multiplier,
                 "delta_mode": args.delta_mode, "rng": RNG_NAME, "seed": args.seed,
                 "selected_order": result.selected_order,
-                "total_wall_time": float(total_time), **runtime_metadata()}
+                "total_wall_time": float(total_time), **runtime_metadata(), **uncentred}
         report.write_csv_report(
             args.out,
             ["p", "window", "s", "clamp_count", "residual_norm", "pacf",

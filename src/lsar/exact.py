@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
 
 from .errors import DataError, NumericalError, RankDeficiencyError
 from .series import ARDesign, TimeSeries, make_design
@@ -129,6 +129,25 @@ def _check_rank(diag: np.ndarray, required_rank: int):
         raise RankDeficiencyError(rank, required_rank)
 
 
+def __getattr__(name):
+    """``lapack`` and ``solve_triangular``, imported from scipy on first use.
+
+    Importing scipy.linalg costs more than the rest of lsar, and commands
+    that never solve (``ingest``, ``generate``) should not pay for it.  The
+    names are then cached as module globals, where tests may patch them.
+    """
+    if name not in ("lapack", "solve_triangular"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg import lapack, solve_triangular
+
+    globals().update(lapack=lapack, solve_triangular=solve_triangular)
+    return globals()[name]
+
+
+# Attribute lookups on the module object fall back to ``__getattr__``.
+_this = sys.modules[__name__]
+
+
 def _qr(matrix: np.ndarray, required_rank: int):
     """Thin QR with a relative rank check on the diagonal of R."""
     q, r = np.linalg.qr(matrix)
@@ -147,13 +166,13 @@ def solve_ols(panel: np.ndarray) -> np.ndarray:
     if panel.shape[0] == 0:
         raise RankDeficiencyError(0, p)
     nb = min(QR_BLOCK, *panel.shape)
-    qr, _, info = lapack.dgeqrt(nb, panel, overwrite_a=True)
+    qr, _, info = _this.lapack.dgeqrt(nb, panel, overwrite_a=True)
     if info != 0:
         raise NumericalError(f"QR of the {panel.shape} panel failed: LAPACK info={info}")
     r = qr[:p, :p]
     _check_rank(np.diag(r), p)
     try:
-        return solve_triangular(r, qr[:p, p])
+        return _this.solve_triangular(r, qr[:p, p])
     except ValueError as err:
         # LinAlgError (a singular factor) is a ValueError, as is the
         # rejection of a non-finite factor.

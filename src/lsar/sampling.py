@@ -175,7 +175,12 @@ def draw_plan(scores: LeverageScores, s: int, *seed_words) -> SamplingPlan:
     # ``LeverageScores`` guarantees all three.
     cdf = np.cumsum(pi)
     cdf /= cdf[-1]
-    indices = np.searchsorted(cdf, make_rng(*seed_words).random(s), side="right")
+    uniforms = make_rng(*seed_words).random(s)
+    # The search runs on the sorted keys, where each lookup starts from the
+    # previous one, and the hits are scattered back into draw order.
+    order = np.argsort(uniforms)
+    indices = np.empty(s, dtype=np.intp)
+    indices[order] = np.searchsorted(cdf, uniforms[order], side="right")
     weights = 1.0 / np.sqrt(s * pi[indices])
     return SamplingPlan(
         indices=indices,

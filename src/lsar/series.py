@@ -5,7 +5,10 @@ The design matrix of an AR(p) regression is Toeplitz: row i (0-based) is
 ``[y[i+p-1], y[i+p-2], ..., y[i]]`` with response ``y[i+p]``.  `ARDesign`
 exposes that matrix as a zero-copy view over the series; materialization
 is explicit and only used by oracles.  Solves gather the rows they need of
-the augmented panel ``[X | y]`` instead.
+the augmented panel ``[X | y]`` instead, and the full-design product
+``X @ phi`` behind every residual is a blocked Toeplitz matrix product over
+the series (`ARDesign.apply`), which runs at matrix-matrix (BLAS-3) speed
+for every order.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataError, DivergenceError, NonpositiveValueError, OrderRangeError
 
 DIVERGENCE_GUARD = 1e12
+# The residual kernel's block B is p - 1 rounded up to a multiple of this.
+APPLY_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -93,12 +98,6 @@ class ARDesign:
     def responses(self) -> np.ndarray:
         return self.series.values[self.p:]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.rows[i]
-
-    def response(self, i: int) -> float:
-        return float(self.series.values[self.p + i])
-
     def materialize(self) -> np.ndarray:
         """Dense contiguous copy of the design matrix (explicitly O(n p))."""
         return np.ascontiguousarray(self.rows)
@@ -128,21 +127,37 @@ class ARDesign:
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """Compute ``X @ phi`` in O(n p) without materializing the matrix.
 
+        ``(X phi)[i] = sum_k phi[k] y[i + p - 1 - k]`` is the valid-mode
+        convolution of ``x = y[:-1]`` with phi, computed as a blocked
+        Toeplitz matrix product.  With ``x_b`` the b-th run of B values of
+        x, output block b is ``[x_b, x_{b+1}] @ T``, where the 2B x B band
+        ``T[t + j, t] = phi[p - 1 - j]`` and B >= p - 1.  The even blocks
+        read x as rows of 2B values from offset 0, the odd ones from offset
+        B, so each half is one GEMM written straight into the output.  The
+        last outputs, fewer than 2B, are a small dense product.
+
         The result is a fresh array, which callers may overwrite.
         """
         phi = np.asarray(phi, dtype=np.float64)
-        # (X phi)[i] = sum_k phi[k] y[i + p - 1 - k] is the valid-mode
-        # convolution of y[:-1] with phi.
-        return np.convolve(self.series.values[:-1], phi, mode="valid")
-
-    def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        """Compute ``X.T @ v`` in O(n p) without materializing the matrix."""
-        v = np.asarray(v, dtype=np.float64)
-        y = self.series.values
-        # (X^T v)[k] = sum_i y[i + p - 1 - k] v[i], a sliding correlation.
-        full = np.correlate(y, v, mode="full")
-        out = full[self.series.n - 1 - self.p: self.series.n - 1]
-        return out[::-1].copy()
+        x = self.series.values[:-1]
+        p = self.p
+        b = max(APPLY_BLOCK, -(-(p - 1) // APPLY_BLOCK) * APPLY_BLOCK)
+        # band[r, c] = padded[r - c + b - 1], and padded holds phi reversed
+        # from index b - 1 on, so band[t + j, t] = phi[p - 1 - j].
+        padded = np.zeros(3 * b - 1)
+        padded[b - 1: b - 1 + p] = phi[::-1]
+        band = np.ascontiguousarray(sliding_window_view(padded, b)[: 2 * b, ::-1])
+        blocks = max(x.size // b - 1, 0)
+        out = np.empty(self.row_count)
+        head = out[: blocks * b].reshape(blocks, b)
+        even, odd = (blocks + 1) // 2, blocks // 2
+        np.matmul(x[: even * 2 * b].reshape(even, 2 * b), band, out=head[0::2])
+        np.matmul(x[b: b + odd * 2 * b].reshape(odd, 2 * b), band, out=head[1::2])
+        done = blocks * b
+        # Nothing is left when B = p - 1 and x splits into whole blocks.
+        if done < out.size:
+            out[done:] = sliding_window_view(x[done:], p) @ phi[::-1]
+        return out
 
 
 @dataclass(frozen=True)

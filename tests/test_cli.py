@@ -225,6 +225,20 @@ class TestReadSeries:
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
 
+    def test_cli_import_and_ingest_leave_out_scipy_linalg(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("t,close\n0,1.0\n1,1.5\n2,1.2\n3,1.4\n")
+        argv = ["ingest", "--input", str(raw), "--column", "close",
+                "--transform", "log_diff_center", "--out", str(tmp_path / "o.csv")]
+        code = ("import sys, lsar.cli\n"
+                "imported = 'scipy.linalg' in sys.modules\n"
+                f"status = lsar.cli.main({argv!r})\n"
+                "print(imported, status, 'scipy.linalg' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "False 0 False"
+
 
 class TestFit:
     def test_hand_system(self, tmp_path, capsys):
@@ -287,6 +301,36 @@ class TestLsar:
         assert code == EXIT_NUMERICAL
         assert "NumericalError" in err
         assert "all lagged values are zero" not in err
+
+    @pytest.mark.parametrize("command", [["lsar"], ["pacf", "--sampled"]])
+    def test_uncentred_input_is_flagged(self, tmp_path, capsys, command):
+        # The no-intercept model fits a +1000 offset as a near-unit root.
+        y = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 50_000, seed=3))
+        args = command + ["--pbar", "10", "--fraction", "0.01", "--seed", "1"]
+        bodies = {}
+        for name, values in (("offset", y.values + 1000.0),
+                             ("centred", y.values - y.values.mean())):
+            out = tmp_path / f"{name}.csv"
+            path = series_file(tmp_path, values, name=f"{name}-in.csv")
+            assert run(args + ["--input", path, "--out", str(out)]) == 0
+            said = [ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("lsar: warning=uncentred")]
+            with open(out) as fh:
+                meta = [ln for ln in fh if ln.startswith("# warning=uncentred")]
+            assert bool(said) == bool(meta) == (name == "offset")
+            bodies[name] = body_lines(out)
+        assert bodies["offset"][0] == bodies["centred"][0]
+
+    def test_uncentred_warning_threshold(self):
+        def flagged(values):
+            return bool(cli.warn_if_uncentred(TimeSeries(np.array(values))))
+        assert not flagged([1.0, -1.0, 1.0, -1.0])
+        assert flagged([3.0, 3.0])
+        assert not flagged([0.0, 0.0])
+        # Neither overflow nor underflow of the squares changes the verdict.
+        for scale in (1e160, 1e-170):
+            assert not flagged([scale, -scale])
+            assert flagged([3.0 * scale, 2.0 * scale])
 
     def test_zero_residual_abort_reported(self, tmp_path, capsys):
         path = series_file(tmp_path, (0.5 ** np.arange(200)).tolist())

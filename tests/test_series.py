@@ -17,6 +17,7 @@ from lsar import (
     log_diff,
     make_design,
 )
+from lsar.series import APPLY_BLOCK
 
 
 class TestTimeSeries:
@@ -89,8 +90,8 @@ class TestMakeDesign:
         design = make_design(TimeSeries(y), p)
         assert design.row_count == len(y) - p
         for i in range(design.row_count):
-            np.testing.assert_array_equal(design.row(i), y[i:i + p][::-1])
-            assert design.response(i) == y[i + p]
+            np.testing.assert_array_equal(design.rows[i], y[i:i + p][::-1])
+            assert design.responses[i] == y[i + p]
 
     def test_nested_design_block_structure(self):
         # Row i at order p is the newest lag prepended to the shorter
@@ -102,7 +103,7 @@ class TestMakeDesign:
             inner = make_design(TimeSeries(y[: len(y) - 1]), p - 1)
             for i in range(inner.row_count):
                 np.testing.assert_array_equal(
-                    outer.row(i), np.concatenate([[y[i + p - 1]], inner.row(i)])
+                    outer.rows[i], np.concatenate([[y[i + p - 1]], inner.rows[i]])
                 )
 
     def test_apply_matches_materialized(self):
@@ -114,26 +115,86 @@ class TestMakeDesign:
             np.testing.assert_allclose(
                 design.apply(phi), design.materialize() @ phi, atol=1e-12
             )
-            v = rng.normal(size=design.row_count)
-            np.testing.assert_allclose(
-                design.apply_transpose(v), design.materialize().T @ v, atol=1e-12
-            )
 
-    @pytest.mark.parametrize("p", [1, 2, 7, 40, 100])
+    @pytest.mark.parametrize("p", [1, 2, 7, 40, 100, 128])
     def test_apply_is_the_full_convolution_slice(self, p):
-        # The valid-mode kernel adds the same products in the same order as
-        # the slice of the full convolution it replaced, so the two agree
-        # bit for bit; both match the materialized product.
+        # The blocked product adds the products in another order than
+        # numpy's convolution, so it is held to the worst-case rounding
+        # error of a p-term dot product against the exactly rounded slice.
         rng = np.random.default_rng(p)
         y = rng.normal(size=5003)
         design = make_design(TimeSeries(y), p)
         phi = rng.normal(size=p)
         applied = design.apply(phi)
-        np.testing.assert_array_equal(
-            applied, np.convolve(y, phi, mode="full")[p - 1: y.size - 1]
-        )
+        assert_within_dot_product_error(applied, design.materialize(), phi)
         np.testing.assert_allclose(applied, design.materialize() @ phi,
                                    rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 7, 17, 40, 100])
+    @pytest.mark.parametrize("tail", [0, 1, -1])
+    def test_apply_at_block_boundaries(self, p, tail):
+        # Row counts that are a multiple of the block B, one more than a
+        # multiple, and one less.
+        b = max(APPLY_BLOCK, -(-(p - 1) // APPLY_BLOCK) * APPLY_BLOCK)
+        m = 5 * b + tail
+        rng = np.random.default_rng(m * 1000 + p)
+        design = make_design(TimeSeries(rng.normal(size=m + p)), p)
+        phi = rng.normal(size=p)
+        assert_within_dot_product_error(design.apply(phi), design.materialize(), phi)
+
+    @pytest.mark.parametrize("p", [1, 2, 7, 40, 100])
+    def test_apply_without_a_full_block(self, p):
+        rng = np.random.default_rng(p)
+        design = make_design(TimeSeries(rng.normal(size=p + 2)), p)
+        phi = rng.normal(size=p)
+        assert_within_dot_product_error(design.apply(phi), design.materialize(), phi)
+
+    @given(data=st.data(), n=st.integers(3, 400))
+    @settings(max_examples=80, deadline=None)
+    def test_apply_at_any_length_and_order(self, data, n):
+        p = data.draw(st.integers(1, min(n - 2, 140)))
+        rng = np.random.default_rng(n * 1000 + p)
+        design = make_design(TimeSeries(rng.normal(size=n)), p)
+        phi = rng.normal(size=p)
+        assert_within_dot_product_error(design.apply(phi), design.materialize(), phi)
+
+    def test_apply_returns_a_fresh_writable_array(self):
+        y = np.arange(1.0, 200.0)
+        design = make_design(TimeSeries(y), 3)
+        applied = design.apply([1, 0, 0])
+        assert applied.dtype == np.float64
+        assert applied.flags.writeable and applied.flags.c_contiguous
+        assert not np.shares_memory(applied, design.series.values)
+        np.testing.assert_array_equal(applied, y[2:-1])
+
+
+def exactly_rounded_dots(rows, phi):
+    """``rows @ phi`` with each entry rounded once from the exact sum.
+
+    Each product is split exactly into a head and a tail (Dekker's
+    TwoProduct), and ``math.fsum`` adds all of them exactly.
+    """
+    def split(a):
+        c = 134217729.0 * a  # 2**27 + 1
+        hi = c - (c - a)
+        return hi, a - hi
+
+    prod = rows * phi
+    rh, rl = split(rows)
+    ph, pl = split(np.asarray(phi, dtype=np.float64))
+    err = ((rh * ph - prod) + rh * pl + rl * ph) + rl * pl
+    return np.array([math.fsum(np.concatenate(pair)) for pair in zip(prod, err)])
+
+
+def assert_within_dot_product_error(applied, rows, phi):
+    """|applied - exact| <= gamma_p * (|X| @ |phi|), whatever the order of
+    summation (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1), with gamma_p
+    taken as p * eps, twice p times the unit roundoff."""
+    assert applied.shape == (rows.shape[0],)
+    exact = exactly_rounded_dots(rows, phi)
+    bound = rows.shape[1] * np.finfo(np.float64).eps * (np.abs(rows) @ np.abs(phi))
+    assert np.all(np.abs(applied - exact) <= bound)
 
 
 class TestCenter:
