@@ -46,6 +46,8 @@ def fmt(value: float) -> str:
 # \x1c-\x1f that numpy strips as whitespace.  Files holding any of these
 # characters are read by the scan alone.
 SCAN_ONLY_CHARS = "#\x1c\x1d\x1e\x1f"
+# Values formatted per chunk by ``write_series``: about 1.4 MB of text.
+WRITE_CHUNK = 2**16
 
 
 def read_series(path: str, column: str | None = None, delimiter: str = ",",
@@ -142,10 +144,21 @@ def _is_number(token: str) -> bool:
 
 
 def write_series(path: str, series: TimeSeries):
-    """Single-column ``y`` report without metadata, formatted in one pass."""
-    values = series.values.tolist()
+    """Single-column ``y`` report without metadata.
+
+    Values are formatted ``WRITE_CHUNK`` at a time, each chunk in one pass,
+    so the text of the whole column never exists at once.
+    """
+    values = series.values
     line = report.FLOAT_FORMAT + "\n"
-    report._atomic_write(path, "y\n" + (line * len(values)) % tuple(values))
+
+    def chunks():
+        yield "y\n"
+        for start in range(0, values.size, WRITE_CHUNK):
+            part = values[start: start + WRITE_CHUNK].tolist()
+            yield (line * len(part)) % tuple(part)
+
+    report._atomic_write(path, chunks())
 
 
 def runtime_metadata() -> dict:

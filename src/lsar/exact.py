@@ -1,14 +1,16 @@
 """Ground-truth computations on the full lagged design.
 
 The conditional MLE of an AR(p) model is the OLS solution of regressing
-``y[p:]`` on its p lagged values.  Everything here goes through Householder
-QR.  A solve factors the augmented panel ``[X | y]`` and keeps only R: the
-triangular system ``R[:p, :p] phi = R[:p, p]`` gives the coefficients and
-the orthonormal factor is never formed.  That factorization is LAPACK's
-recursive compact-WY QR (``dgeqrt``, Elmroth & Gustavson), which does most
-of its work in matrix-matrix products.  Exact leverage scores do need Q:
-they are its squared row norms.  Normal equations are deliberately avoided;
-the kappa^2 conditioning loss would contaminate the score oracles.
+``y[p:]`` on its p lagged values.  Everything here goes through one
+Householder QR, `augmented_r`, which returns only the R factor of the
+chosen rows of ``[X | y]``.  It reads the rows in blocks of about 512 KiB:
+LAPACK's recursive compact-WY QR (``dgeqrt``, Elmroth & Gustavson) factors
+the first block and ``dtpqrt`` folds each later one into R, both mostly in
+matrix-matrix products.  The triangular system ``R[:p, :p] phi = R[:p, p]``
+gives the coefficients.  Exact leverage scores are the squared row norms of
+Q = X R^-1, computed block by block, so Q is never formed either.  Normal
+equations are deliberately avoided; the kappa^2 conditioning loss would
+contaminate the score oracles.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from .errors import DataError, NumericalError, RankDeficiencyError
 from .series import ARDesign, TimeSeries, make_design
 
 RANK_RTOL = 1e-10
-# Block size of the compact-WY QR.  On tall panels of 101 columns, 16 to 32
-# run alike and 64 is about 15 % slower.
-QR_BLOCK = 24
+# Block size of the compact-WY QR of the first row block and of each fold.
+# On 512 KiB row blocks, the solves of a pbar = 100 run took about 15 % less
+# time with 8 than with 24.
+QR_BLOCK = 8
 ZERO_CONFIDENCE_Z = 1.96
 
 
@@ -130,17 +133,18 @@ def _check_rank(diag: np.ndarray, required_rank: int):
 
 
 def __getattr__(name):
-    """``lapack`` and ``solve_triangular``, imported from scipy on first use.
+    """``blas``, ``lapack`` and ``solve_triangular``, imported from scipy on
+    first use.
 
     Importing scipy.linalg costs more than the rest of lsar, and commands
     that never solve (``ingest``, ``generate``) should not pay for it.  The
     names are then cached as module globals, where tests may patch them.
     """
-    if name not in ("lapack", "solve_triangular"):
+    if name not in ("blas", "lapack", "solve_triangular"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.linalg import lapack, solve_triangular
+    from scipy.linalg import blas, lapack, solve_triangular
 
-    globals().update(lapack=lapack, solve_triangular=solve_triangular)
+    globals().update(blas=blas, lapack=lapack, solve_triangular=solve_triangular)
     return globals()[name]
 
 
@@ -148,31 +152,47 @@ def __getattr__(name):
 _this = sys.modules[__name__]
 
 
-def _qr(matrix: np.ndarray, required_rank: int):
-    """Thin QR with a relative rank check on the diagonal of R."""
-    q, r = np.linalg.qr(matrix)
-    _check_rank(np.diag(r), required_rank)
-    return q, r
+def augmented_r(design: ARDesign, indices: np.ndarray | None = None,
+                weights: np.ndarray | None = None) -> np.ndarray:
+    """R factor of the rows ``indices`` of ``[X | y]``, scaled by ``weights``.
 
-
-def solve_ols(panel: np.ndarray) -> np.ndarray:
-    """Least-squares fit of the last column of ``panel`` on the others.
-
-    ``panel`` is ``[X | y]`` as a Fortran-ordered float64 array; it is
-    overwritten by an R-only Householder QR.  The coefficients solve
-    ``R[:p, :p] phi = R[:p, p]``, so Q is never formed.
+    A sequential TSQR (Demmel, Grigori, Hoemmen & Langou, 2012) over the
+    row blocks of `ARDesign.blocks`: ``dgeqrt`` factors the first block and
+    ``dtpqrt`` folds each later one into R, so the rows are never held all
+    at once.  The result is the ``(p + 1, p + 1)`` upper-triangular
+    Fortran-ordered R; with fewer than p + 1 rows its last rows are zero.
+    Without ``indices`` every row is taken.
     """
-    p = panel.shape[1] - 1
-    if panel.shape[0] == 0:
+    p = design.p
+    nb = min(QR_BLOCK, p + 1)
+    r = None
+    for block in design.blocks(indices, weights):
+        if r is None:
+            k = min(block.shape[0], p + 1)
+            block, _, info = _this.lapack.dgeqrt(min(nb, k), block, overwrite_a=True)
+            r = np.zeros((p + 1, p + 1), order="F")
+            r[:k] = np.triu(block[:k])
+        else:
+            # dtpqrt reads and writes only the upper triangle of r.
+            r, _, _, info = _this.lapack.dtpqrt(0, nb, r, block, overwrite_a=True,
+                                                overwrite_b=True)
+        if info != 0:
+            raise NumericalError(f"QR of a {block.shape} row block failed: LAPACK info={info}")
+    if r is None:
         raise RankDeficiencyError(0, p)
-    nb = min(QR_BLOCK, *panel.shape)
-    qr, _, info = _this.lapack.dgeqrt(nb, panel, overwrite_a=True)
-    if info != 0:
-        raise NumericalError(f"QR of the {panel.shape} panel failed: LAPACK info={info}")
-    r = qr[:p, :p]
-    _check_rank(np.diag(r), p)
+    return r
+
+
+def solve_ols(r: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients from the R factor of ``[X | y]``.
+
+    The coefficients solve ``R[:p, :p] phi = R[:p, p]``, so Q is never
+    formed.  The rank check is relative, on the diagonal of ``R[:p, :p]``.
+    """
+    p = r.shape[1] - 1
+    _check_rank(np.diag(r[:p, :p]), p)
     try:
-        return _this.solve_triangular(r, qr[:p, p])
+        return _this.solve_triangular(r[:p, :p], r[:p, p])
     except ValueError as err:
         # LinAlgError (a singular factor) is a ValueError, as is the
         # rejection of a non-finite factor.
@@ -199,15 +219,27 @@ def fit_from_coefficients(design: ARDesign, phi: np.ndarray, source: FitSource) 
 
 def fit_ols(design: ARDesign) -> ARFit:
     """Conditional MLE of the AR coefficients at the design's order."""
-    return fit_from_coefficients(design, solve_ols(design.panel()), FitSource.FULL)
+    return fit_from_coefficients(design, solve_ols(augmented_r(design)), FitSource.FULL)
 
 
 def exact_leverage(design: ARDesign) -> LeverageScores:
-    """Exact leverage scores: squared row norms of the orthonormal factor."""
-    x = design.materialize()
-    q, _ = _qr(x, design.p)
-    scores = np.einsum("ij,ij->i", q, q)
-    return LeverageScores.from_scores(design.p, scores, Provenance.EXACT)
+    """Exact leverage scores: squared row norms of the orthonormal factor.
+
+    With X = QR, row i of Q is ``x_i R^-1``.  R comes from `augmented_r`,
+    and a second pass over the row blocks solves for those rows block by
+    block, so neither X nor Q is formed.
+    """
+    p = design.p
+    r = np.asfortranarray(augmented_r(design)[:p, :p])
+    _check_rank(np.diag(r), p)
+    scores = np.empty(design.row_count)
+    start = 0
+    for block in design.blocks():
+        # X_b R^-1 in place of the block's first p columns (side=1: right).
+        rows = _this.blas.dtrsm(1.0, r, block[:, :p], side=1, overwrite_b=True)
+        np.einsum("ij,ij->i", rows, rows, out=scores[start: start + rows.shape[0]])
+        start += rows.shape[0]
+    return LeverageScores.from_scores(p, scores, Provenance.EXACT)
 
 
 def exact_pacf(series: TimeSeries, max_lag: int) -> PacfTrace:

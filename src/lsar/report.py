@@ -23,12 +23,14 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, chunks: Iterable[str]):
+    """Write the concatenated ``chunks`` to ``path`` through a renamed
+    temporary sibling."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -50,7 +52,7 @@ def write_csv_report(
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(format_value(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def write_text_report(
@@ -68,4 +70,4 @@ def write_text_report(
     lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in formatted:
         lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])

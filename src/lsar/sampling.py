@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, DistributionError, SampleSizeError
-from .exact import ARFit, FitSource, LeverageScores, fit_from_coefficients, solve_ols
+from .exact import ARFit, FitSource, LeverageScores, augmented_r, fit_from_coefficients, \
+    solve_ols
 from .series import ARDesign
 
 RNG_NAME = "philox"
@@ -193,11 +194,11 @@ def reduced_fit(design: ARDesign, plan: SamplingPlan) -> ARFit:
     """Weighted OLS on the sampled rows; residuals on the full design.
 
     The sampled rows of ``[X | y]``, scaled by the plan weights, are
-    gathered into one panel for the R-only QR solve.
+    folded block by block into one R factor for the solve.
     """
     if plan.indices.size and (plan.indices.min() < 0 or plan.indices.max() >= design.row_count):
         raise DistributionError(
             f"plan indices out of range for design with {design.row_count} rows"
         )
-    phi = solve_ols(design.panel(plan.indices, plan.weights))
+    phi = solve_ols(augmented_r(design, plan.indices, plan.weights))
     return fit_from_coefficients(design, phi, FitSource.SAMPLED)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import lsar
 from lsar import IngestError, LsarError, cli, generate_ar, report
-from lsar.cli import EXIT_DATA, EXIT_NUMERICAL, main, read_series, write_series
+from lsar.cli import EXIT_DATA, EXIT_NUMERICAL, WRITE_CHUNK, main, read_series, write_series
 from lsar.series import ARGeneratorSpec, TimeSeries
 
 
@@ -402,6 +403,26 @@ class TestWriteSeries:
         assert fast.read_bytes() == reference.read_bytes()
         assert fast.read_bytes().startswith(b"y\n-0\n0\n1e-300\n")
         np.testing.assert_array_equal(read_series(str(fast)).values, values)
+
+    @pytest.mark.parametrize("size", [WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1])
+    def test_bytes_across_chunk_boundaries(self, tmp_path, size):
+        values = np.random.default_rng(size).normal(size=size) * 1e3
+        path = tmp_path / "y.csv"
+        write_series(str(path), TimeSeries(values))
+        expected = "y\n" + "".join(f"{v:.17g}\n" for v in values.tolist())
+        assert path.read_bytes() == expected.encode()
+
+    def test_text_is_written_in_chunks(self, tmp_path):
+        # The text of 10^6 values is about 22 MB, and the Python floats and
+        # tuple behind a one-pass format take about 32 MB more.
+        series = TimeSeries(np.random.default_rng(1).normal(size=1_000_000))
+        tracemalloc.start()
+        try:
+            write_series(str(tmp_path / "y.csv"), series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
 
 class TestBlasThreads:

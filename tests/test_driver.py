@@ -27,8 +27,9 @@ def strip_wall_time(record):
 
 class TestRunLsar:
     def test_previous_residuals_are_freed_before_the_next_draw(self, monkeypatch):
-        # Memory stays at one order's O(n) arrays plus the panel: when order
-        # q draws its plan, no earlier order's residual vector is alive.
+        # Memory stays at one order's O(n) arrays plus one row block of the
+        # solve: when order q draws its plan, no earlier order's residual
+        # vector is alive.
         import lsar.recursion
 
         residuals = []

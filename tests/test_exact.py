@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack, solve_triangular
@@ -18,7 +20,9 @@ from lsar import (
     select_order,
 )
 import lsar.exact
-from lsar.exact import QR_BLOCK, _qr, solve_ols
+from lsar.exact import QR_BLOCK, _check_rank, augmented_r, solve_ols
+from lsar.sampling import SamplingPlan, reduced_fit
+from lsar.series import BLOCK_BYTES
 
 from conftest import hat_diagonal
 
@@ -56,8 +60,32 @@ class TestFitOls:
             assert np.max(np.abs(x.T @ fit.residuals)) <= 1e-8 * scale
 
 
+def _qr(matrix: np.ndarray, required_rank: int):
+    """Reference thin QR (Q formed) with the relative rank check on diag(R)."""
+    q, r = np.linalg.qr(matrix)
+    _check_rank(np.diag(r), required_rank)
+    return q, r
+
+
 def panel(a, b):
     return np.asfortranarray(np.column_stack([a, b]))
+
+
+def r_factor(a):
+    """Reference R: one ``dgeqrt`` of the whole panel, zero rows below s."""
+    rows, cols = a.shape
+    qr = lapack.dgeqrt(min(QR_BLOCK, rows, cols), np.array(a, order="F"))[0]
+    r = np.zeros((cols, cols))
+    r[:min(rows, cols)] = np.triu(qr[:cols])
+    return r
+
+
+def gathered(design, indices=None, weights=None):
+    """Reference gather: rows ``indices`` of ``[X | y]`` by plain indexing."""
+    a = panel(design.rows, design.responses)
+    if indices is not None:
+        a = a[indices]
+    return a if weights is None else a * weights[:, None]
 
 
 def dgeqrf_solve(a):
@@ -67,13 +95,26 @@ def dgeqrf_solve(a):
     return solve_triangular(r[:p, :p], r[:p, p])
 
 
+def signed(r):
+    """R with rows flipped to a nonnegative diagonal (R is unique up to that)."""
+    return r * np.where(np.diag(r) < 0, -1.0, 1.0)[:, None]
+
+
+def block_rows(p):
+    return max(p + 1, BLOCK_BYTES // (8 * (p + 1)))
+
+
+def random_design(n, p, seed):
+    return make_design(TimeSeries(np.random.default_rng(seed).normal(size=n)), p)
+
+
 class TestSolveOls:
     def test_matches_lstsq(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(40, 6))
         b = rng.normal(size=40)
         expected = np.linalg.lstsq(a, b, rcond=None)[0]
-        np.testing.assert_allclose(solve_ols(panel(a, b)), expected, atol=1e-10)
+        np.testing.assert_allclose(solve_ols(r_factor(panel(a, b))), expected, atol=1e-10)
 
     def test_ill_conditioned_matches_lstsq(self):
         rng = np.random.default_rng(6)
@@ -83,20 +124,13 @@ class TestSolveOls:
         assert 0.5e8 < np.linalg.cond(a) < 2e8
         b = a @ rng.normal(size=6) + 1e-3 * rng.normal(size=200)
         expected = np.linalg.lstsq(a, b, rcond=None)[0]
-        phi = solve_ols(panel(a, b))
+        phi = solve_ols(r_factor(panel(a, b)))
         # At kappa 1e8 the coefficients themselves are only determined to
         # about kappa * eps; the fitted values are well posed.
         np.testing.assert_allclose(
             a @ phi, a @ expected, atol=1e-10 * np.linalg.norm(b)
         )
         np.testing.assert_allclose(phi, expected, rtol=1e-6)
-
-    def test_panel_is_overwritten_in_place(self):
-        rng = np.random.default_rng(7)
-        a = panel(rng.normal(size=(30, 3)), rng.normal(size=30))
-        before = a.copy()
-        solve_ols(a)
-        assert not np.array_equal(a, before)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_rank_deficiency_reports_same_rank_as_full_qr(self, p):
@@ -106,47 +140,119 @@ class TestSolveOls:
         with pytest.raises(RankDeficiencyError) as full_qr:
             _qr(x, p)
         with pytest.raises(RankDeficiencyError) as r_only:
-            solve_ols(panel(x, rng.normal(size=50)))
+            solve_ols(r_factor(panel(x, rng.normal(size=50))))
         assert r_only.value.numerical_rank == full_qr.value.numerical_rank == p - 1
         assert r_only.value.required_rank == p
 
     def test_fewer_rows_than_columns_rank_deficient(self):
-        rng = np.random.default_rng(8)
+        design = random_design(50, 4, 8)
         with pytest.raises(RankDeficiencyError) as err:
-            solve_ols(panel(rng.normal(size=(2, 4)), rng.normal(size=2)))
+            solve_ols(augmented_r(design, np.array([3, 17]), np.ones(2)))
         assert err.value.numerical_rank == 2
 
     @pytest.mark.parametrize("rows, p", [
         (2, 1), (10, 1), (5000, 1),                          # p + 1 = 2
-        (5, 3), (QR_BLOCK - 1, 6), (QR_BLOCK, QR_BLOCK - 1),  # fewer rows than the block
-        (4, 4), (2, 2),                                      # s = p < p + 1
+        (5, 3), (23, 6),                                     # few rows
+        (24, 23),                                            # s = p + 1
+        (4, 4), (2, 2),                                      # s = p, fewer rows than nb
         (60, 40), (3000, 40), (18421, 100),
     ])
     def test_agrees_with_dgeqrf_reference(self, rows, p):
         rng = np.random.default_rng(rows * 1000 + p)
-        a = panel(rng.normal(size=(rows, p)), rng.normal(size=rows))
-        expected = dgeqrf_solve(a)
-        phi = solve_ols(a)
+        design = random_design(rows + p + 50, p, rows)
+        indices = rng.choice(design.row_count, rows, replace=False)
+        weights = rng.uniform(0.5, 2.0, rows)
+        expected = dgeqrf_solve(gathered(design, indices, weights))
+        phi = solve_ols(augmented_r(design, indices, weights))
         assert np.linalg.norm(phi - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_empty_panel_is_rank_deficient(self):
         with pytest.raises(RankDeficiencyError) as err:
-            solve_ols(np.empty((0, 4), order="F"))
+            augmented_r(random_design(20, 3, 1), np.empty(0, dtype=np.intp), np.empty(0))
         assert err.value.numerical_rank == 0
+        assert err.value.required_rank == 3
 
     def test_lapack_failure_is_numerical_error(self, monkeypatch):
         def failing(nb, a, overwrite_a=False):
             return a, np.zeros((nb, min(a.shape))), -2
         monkeypatch.setattr(lsar.exact.lapack, "dgeqrt", failing)
         with pytest.raises(NumericalError, match="info=-2"):
-            solve_ols(panel(np.eye(3), np.ones(3)))
+            fit_ols(random_design(20, 2, 1))
 
     def test_singular_triangular_solve_is_numerical_error(self, monkeypatch):
         def singular(r, b):
             raise np.linalg.LinAlgError("singular matrix")
         monkeypatch.setattr(lsar.exact, "solve_triangular", singular)
         with pytest.raises(NumericalError, match="singular"):
-            solve_ols(panel(np.eye(3), np.ones(3)))
+            solve_ols(r_factor(panel(np.eye(3), np.ones(3))))
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced by tracemalloc while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAugmentedR:
+    @pytest.mark.parametrize("p, rows", [
+        (100, block_rows(100) - 1), (100, block_rows(100)),
+        (100, block_rows(100) + 1),           # the last block is one row
+        (7, 3 * block_rows(7) + 1),
+        (6, 4), (6, 7),                        # s < p + 1 and s = p + 1
+        (1, 1), (1, 2),
+    ])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_one_shot_dgeqrt(self, p, rows, weighted):
+        rng = np.random.default_rng(rows + p)
+        design = random_design(rows + p + 30, p, p)
+        indices = rng.choice(design.row_count, rows, replace=False)
+        weights = rng.uniform(0.5, 2.0, rows) if weighted else None
+        expected = r_factor(gathered(design, indices, weights))
+        r = augmented_r(design, indices, weights)
+        assert r.shape == (p + 1, p + 1)
+        assert np.array_equal(r, np.triu(r))
+        assert (np.linalg.norm(signed(r) - signed(expected))
+                <= 1e-12 * np.linalg.norm(expected))
+
+    @pytest.mark.parametrize("p, rows", [
+        (100, block_rows(100) - 1), (100, block_rows(100)), (100, block_rows(100) + 1),
+        (3, 2 * block_rows(3) + 1), (1, 2),
+    ])
+    def test_all_rows_in_order(self, p, rows):
+        design = random_design(rows + p, p, rows)
+        assert design.row_count == rows
+        expected = r_factor(gathered(design))
+        r = augmented_r(design)
+        assert (np.linalg.norm(signed(r) - signed(expected))
+                <= 1e-12 * np.linalg.norm(expected))
+
+    def test_fold_failure_is_numerical_error(self, monkeypatch):
+        def failing(l, nb, a, b, overwrite_a=False, overwrite_b=False):
+            return a, b, np.zeros((nb, a.shape[1])), -3
+        monkeypatch.setattr(lsar.exact.lapack, "dtpqrt", failing)
+        design = random_design(block_rows(5) + 20, 5, 2)
+        with pytest.raises(NumericalError, match="info=-3"):
+            augmented_r(design)
+
+    def test_reduced_fit_holds_no_panel(self):
+        # The whole weighted panel of 18 421 sampled rows at p = 100 would be
+        # 14.9 MB; the solve holds one row block of about 512 KiB at a time.
+        p, s = 100, 18_421
+        design = random_design(20_000, p, 3)
+        rng = np.random.default_rng(4)
+        plan = SamplingPlan(rng.integers(0, design.row_count, s), rng.uniform(0.5, 2.0, s))
+        peak = traced_peak(lambda: reduced_fit(design, plan))
+        assert peak < 5e6, peak
+
+    def test_fit_ols_holds_no_panel(self):
+        # The full [X | y] panel at n = 10^5, p = 100 would be 80 MB.
+        design = random_design(100_000, 100, 5)
+        peak = traced_peak(lambda: fit_ols(design))
+        assert peak < 5e6, peak
 
 
 class TestExactLeverage:
@@ -185,6 +291,23 @@ class TestExactLeverage:
         scores = exact_leverage(design).scores
         row_norms = np.linalg.norm(x, axis=1)
         assert np.all(row_norms <= spectral * np.sqrt(scores) + 1e-8)
+
+    def test_q_free_scores_match_q_path_when_ill_conditioned(self):
+        # A sinusoid obeys an exact order-2 recurrence, so at p = 3 tiny
+        # noise alone keeps the columns apart: kappa is about 1e8.  Scores
+        # from X R^-1 lose about kappa * eps against Householder Q.
+        t = np.arange(3000)
+        noise = np.random.default_rng(9).normal(size=t.size)
+        design = make_design(TimeSeries(np.cos(0.3 * t) + 1e-8 * noise), 3)
+        x = design.materialize()
+        kappa = np.linalg.cond(x)
+        assert 0.5e8 < kappa < 2e8
+        q, _ = _qr(x, 3)
+        expected = np.einsum("ij,ij->i", q, q)
+        scores = exact_leverage(design).scores
+        tol = 10 * kappa * np.finfo(float).eps
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=tol * expected.max())
+        assert abs(scores.sum() - 3) < tol * 3
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(8)
