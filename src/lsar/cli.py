@@ -212,6 +212,14 @@ def _size_rule(args) -> SampleSizeRule:
     )
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _add_sampling_flags(parser, pbar_required=True):
     parser.add_argument("--pbar", type=int, required=pbar_required,
                         help="largest lag / max order to consider")
@@ -390,8 +398,7 @@ def cmd_eval(args) -> int:
     elif args.study == "ratios":
         if args.p is None:
             raise DataError("eval ratios needs --p (the fixed fit order)")
-        sizes = [int(s) for s in args.sizes.split(",")]
-        rows = evalbench.ratio_study(series, args.p, sizes, args.reps, args.seed)
+        rows = evalbench.ratio_study(series, args.p, args.sizes, args.reps, args.seed)
         header = evalbench.SIZE_HEADER
         meta["p"] = args.p
         meta["reps"] = args.reps
@@ -462,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--input", required=True)
     _add_sampling_flags(e, pbar_required=False)
     e.add_argument("--p", type=int, default=None, help="fixed order for ratios")
-    e.add_argument("--sizes", default="200,300,400,500,600,700,800,900,1000")
+    e.add_argument("--sizes", type=_int_list, default="200,300,400,500,600,700,800,900,1000")
     e.add_argument("--reps", type=int, default=100)
     e.add_argument("--c-log", type=float, default=1.0)
     e.add_argument("--out", required=True)

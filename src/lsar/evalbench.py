@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, RankDeficiencyError
-from .exact import LeverageScores, exact_leverage, fit_ols
+from .exact import LeverageScores, _check_rank, augmented_r, exact_leverage, fit_ols
 from .recursion import approximate_sweep
 from .sampling import RNG_NAME, SampleSizeRule, SamplingPlan, draw_plan, make_rng, \
     reduced_fit
@@ -50,16 +50,17 @@ def conditioning(series: TimeSeries, p: int) -> BoundInputs:
     """kappa, xi, eta for the order-p design of ``series``.
 
     xi is the fraction of the response captured by the fit, ``|X phi| / |y|``;
-    eta is ``kappa * sqrt(xi^-2 - 1)``.
+    eta is ``kappa * sqrt(xi^-2 - 1)``.  All three come from the R factor of
+    ``[X | y]``: kappa from the singular values of ``R[:p, :p]``, and with
+    ``Q^T y = R[:, p]``, ``|X phi| = |R[:p, p]|`` and ``|y| = |R[:p+1, p]|``.
     """
-    design = make_design(series, p)
-    x = design.materialize()
-    r = np.linalg.qr(x, mode="r")
-    smax, smin = _triangular_spectrum(r)
+    r = augmented_r(make_design(series, p))
+    smax, smin = _triangular_spectrum(r[:p, :p])
+    # The relative rank check of the least-squares solve.
+    _check_rank(np.diag(r[:p, :p]), p)
     kappa = smax / smin
-    fit = fit_ols(design)
-    explained = float(np.linalg.norm(x @ fit.coefficients))
-    total = float(np.linalg.norm(design.responses))
+    explained = float(np.linalg.norm(r[:p, p]))
+    total = float(np.linalg.norm(r[:, p]))
     xi = min(explained / total, 1.0) if total > 0 else 1.0
     eta = kappa * math.sqrt(max(xi**-2 - 1.0, 0.0))
     return BoundInputs(kappa=kappa, xi=xi, eta=eta)
@@ -132,8 +133,9 @@ def bound_curves(
 
 
 def conditioning_kappa(series: TimeSeries, p: int) -> float:
-    r = np.linalg.qr(make_design(series, p).materialize(), mode="r")
-    smax, smin = _triangular_spectrum(r)
+    """Condition number of the order-p design of ``series``."""
+    r = augmented_r(make_design(series, p))
+    smax, smin = _triangular_spectrum(r[:p, :p])
     return smax / smin
 
 
@@ -162,6 +164,8 @@ def ratio_study(
     and ``|r_s| / |r|``.  Rank-deficient reduced fits are excluded and
     counted in the last column.
     """
+    if reps < 1:
+        raise DataError(f"reps must be >= 1, got {reps}")
     design = make_design(series, p)
     if any(s < p + 1 for s in sizes):
         raise DataError(f"all sample sizes must be >= p + 1 = {p + 1}")

@@ -11,14 +11,25 @@ gives the coefficients.  Exact leverage scores are the squared row norms of
 Q = X R^-1, computed block by block, so Q is never formed either.  Normal
 equations are deliberately avoided; the kappa^2 conditioning loss would
 contaminate the score oracles.
+
+The LAPACK and BLAS routines come straight from scipy's compiled f2py
+wrappers, ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, loaded by
+file location on first use.  The ``scipy.linalg`` package itself is never
+imported: executing its ``__init__`` costs 0.14-0.22 s and 23 MiB per
+process on a 2-vCPU VM, more than importing the rest of lsar, while the two
+wrappers load in about 5 ms.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -66,17 +77,28 @@ class ARFit:
 
 @dataclass(frozen=True)
 class LeverageScores:
-    """Per-row leverage scores and the induced sampling distribution."""
+    """Per-row leverage scores and their sum, which normalizes them into the
+    sampling distribution."""
 
     order: int
     scores: np.ndarray
     provenance: Provenance
-    distribution: np.ndarray
+    total: float
     clamp_count: int = 0
 
     def __post_init__(self):
         self.scores.setflags(write=False)
-        self.distribution.setflags(write=False)
+
+    @cached_property
+    def distribution(self) -> np.ndarray:
+        """The sampling distribution ``scores / total``, formed when first read.
+
+        The sweep never reads it (`draw_plan` works from ``scores`` and
+        ``total``), so no order pays for a second O(n) array.
+        """
+        pi = self.scores / self.total
+        pi.setflags(write=False)
+        return pi
 
     @classmethod
     def from_scores(cls, order, scores, provenance, clamp_count=0):
@@ -85,7 +107,7 @@ class LeverageScores:
             raise NumericalError(f"leverage scores sum to {total}; no sampling distribution")
         if total <= 0:
             raise DataError("all leverage scores are zero; no sampling distribution")
-        return cls(order, scores, provenance, scores / total, clamp_count)
+        return cls(order, scores, provenance, float(total), clamp_count)
 
     def __len__(self) -> int:
         return self.scores.size
@@ -132,24 +154,73 @@ def _check_rank(diag: np.ndarray, required_rank: int):
         raise RankDeficiencyError(rank, required_rank)
 
 
+# The module attribute each wrapper is reached by, and its scipy.linalg name.
+_WRAPPERS = {"lapack": "_flapack", "blas": "_fblas"}
+
+
+def _load_wrapper(name: str):
+    """scipy's compiled wrapper module ``scipy.linalg.<name>``, loaded from
+    its file without executing ``scipy/linalg/__init__.py``.
+
+    A module of that name already in ``sys.modules`` is reused; a freshly
+    loaded one is registered there, so a later ``import scipy.linalg`` in
+    the same process shares it.
+    """
+    full_name = f"scipy.linalg.{name}"
+    module = sys.modules.get(full_name)
+    if module is not None:
+        return module
+    scipy_spec = PathFinder.find_spec("scipy")
+    spec = None
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        spec = PathFinder.find_spec(
+            full_name, [os.path.join(location, "linalg")
+                        for location in scipy_spec.submodule_search_locations])
+    if spec is None:
+        raise ImportError(f"lsar needs scipy's compiled module {full_name}, "
+                          "which was not found", name=full_name)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[full_name] = module
+    return module
+
+
 def __getattr__(name):
-    """``blas``, ``lapack`` and ``solve_triangular``, imported from scipy on
+    """``lapack`` and ``blas``: scipy's LAPACK and BLAS wrappers, loaded on
     first use.
 
-    Importing scipy.linalg costs more than the rest of lsar, and commands
-    that never solve (``ingest``, ``generate``) should not pay for it.  The
-    names are then cached as module globals, where tests may patch them.
+    Commands that never solve (``ingest``, ``generate``) load neither.  The
+    modules are then cached as module globals, where tests may patch them.
     """
-    if name not in ("blas", "lapack", "solve_triangular"):
+    if name not in _WRAPPERS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.linalg import blas, lapack, solve_triangular
-
-    globals().update(blas=blas, lapack=lapack, solve_triangular=solve_triangular)
-    return globals()[name]
+    module = _load_wrapper(_WRAPPERS[name])
+    globals()[name] = module
+    return module
 
 
 # Attribute lookups on the module object fall back to ``__getattr__``.
 _this = sys.modules[__name__]
+
+
+def solve_triangular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a x = b`` for upper-triangular ``a``.
+
+    The call is ``dtrtrs`` on the transpose, the one
+    ``scipy.linalg.solve_triangular`` makes for a non-contiguous ``a`` such
+    as ``R[:p, :p]``, so the result is bit-identical to scipy's.  As there,
+    a non-finite input raises ``ValueError`` and a singular ``a`` raises
+    ``LinAlgError``.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = _this.lapack.dtrtrs(a.T, b, lower=1, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    return x
 
 
 def augmented_r(design: ARDesign, indices: np.ndarray | None = None,
@@ -192,7 +263,7 @@ def solve_ols(r: np.ndarray) -> np.ndarray:
     p = r.shape[1] - 1
     _check_rank(np.diag(r[:p, :p]), p)
     try:
-        return _this.solve_triangular(r[:p, :p], r[:p, p])
+        return solve_triangular(r[:p, :p], r[:p, p])
     except ValueError as err:
         # LinAlgError (a singular factor) is a ValueError, as is the
         # rejection of a non-finite factor.

@@ -93,12 +93,12 @@ def _advance(scores: LeverageScores, fit: ARFit, provenance: Provenance):
     updated /= fit.residual_norm**2
     updated += scores.scores
     clamp_count = 0
-    if provenance is not Provenance.EXACT:
-        # Both terms are nonnegative, so only the upper bound can be crossed.
+    # Both terms are nonnegative, so only the upper bound can be crossed.
+    # The mask is built only when some score crossed it, which is rare.
+    if provenance is not Provenance.EXACT and updated.max() > 1.0:
         over = updated > 1.0
         clamp_count = int(np.count_nonzero(over))
-        if clamp_count:
-            updated[over] = 1.0
+        updated[over] = 1.0
     return LeverageScores.from_scores(
         fit.order + 1, updated, provenance, clamp_count=clamp_count
     )

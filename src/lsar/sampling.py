@@ -10,10 +10,9 @@ name is recorded in every emitted report.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -37,31 +36,48 @@ def make_rng(*seed_words) -> np.random.Generator:
 
 def distribution_checksum(distribution: np.ndarray) -> str:
     """Short audit hash of a sampling distribution."""
+    # Imported here: no CLI command reads a checksum, so no process should
+    # pay for loading hashlib.
+    import hashlib
+
     return hashlib.sha256(np.ascontiguousarray(distribution).tobytes()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SamplingPlan:
     """With-replacement row draws plus their rescaling weights.
 
     ``source_distribution`` is the read-only distribution the rows were
-    drawn from, kept by reference; it is hashed only when the audit
-    checksum is read.  Hand-built plans may leave it out.
+    drawn from, given either as an array or as the `LeverageScores` that
+    induce it.  Either is kept by reference: scores are divided by their
+    total only when ``source_distribution`` is read, and the distribution is
+    hashed only when the audit checksum is read.  Hand-built plans may leave
+    it out.
     """
 
     indices: np.ndarray
     weights: np.ndarray
-    source_distribution: np.ndarray | None = None
+    _source: np.ndarray | LeverageScores | None = field(repr=False)
 
-    def __post_init__(self):
-        self.indices.setflags(write=False)
-        self.weights.setflags(write=False)
-        if self.source_distribution is not None:
-            self.source_distribution.setflags(write=False)
+    def __init__(self, indices: np.ndarray, weights: np.ndarray,
+                 source_distribution: np.ndarray | LeverageScores | None = None):
+        indices.setflags(write=False)
+        weights.setflags(write=False)
+        if isinstance(source_distribution, np.ndarray):
+            source_distribution.setflags(write=False)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_source", source_distribution)
 
     @property
     def size(self) -> int:
         return self.indices.size
+
+    @property
+    def source_distribution(self) -> np.ndarray | None:
+        if isinstance(self._source, LeverageScores):
+            return self._source.distribution
+        return self._source
 
     @cached_property
     def source_distribution_checksum(self) -> str:
@@ -170,11 +186,12 @@ def draw_plan(scores: LeverageScores, s: int, *seed_words) -> SamplingPlan:
     """
     if s < 1:
         raise SampleSizeError(f"sample size must be >= 1, got {s}")
-    pi = scores.distribution
-    # Inverse-CDF draws, the computation ``Generator.choice(p=pi)`` performs,
-    # without its re-checks that pi is finite, nonnegative and sums to one:
-    # ``LeverageScores`` guarantees all three.
-    cdf = np.cumsum(pi)
+    # Inverse-CDF draws, the computation ``Generator.choice(p=pi)`` performs
+    # for pi = scores / total, without its re-checks that pi is finite,
+    # nonnegative and sums to one: ``LeverageScores`` guarantees all three.
+    # pi itself is formed only in the CDF buffer and at the drawn rows.
+    cdf = np.divide(scores.scores, scores.total)
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     uniforms = make_rng(*seed_words).random(s)
     # The search runs on the sorted keys, where each lookup starts from the
@@ -182,11 +199,11 @@ def draw_plan(scores: LeverageScores, s: int, *seed_words) -> SamplingPlan:
     order = np.argsort(uniforms)
     indices = np.empty(s, dtype=np.intp)
     indices[order] = np.searchsorted(cdf, uniforms[order], side="right")
-    weights = 1.0 / np.sqrt(s * pi[indices])
+    weights = 1.0 / np.sqrt(s * (scores.scores[indices] / scores.total))
     return SamplingPlan(
         indices=indices,
         weights=weights,
-        source_distribution=pi,
+        source_distribution=scores,
     )
 
 

@@ -240,6 +240,33 @@ class TestReadSeries:
                              capture_output=True, text=True).stdout
         assert out.splitlines()[-1] == "False 0 False"
 
+    @pytest.mark.parametrize("command", [
+        ["lsar", "--pbar", "3", "--fraction", "0.2"],
+        ["fit", "--p", "3"],
+        ["pacf", "--exact", "--pbar", "3"],
+    ])
+    def test_solving_commands_leave_out_scipy_linalg(self, tmp_path, command):
+        # The solves load scipy's compiled LAPACK/BLAS wrappers only.
+        values = generate_ar(ARGeneratorSpec(np.array([0.5, -0.2]), 1.0, 500, seed=2)).values
+        path = series_file(tmp_path, values.tolist())
+        argv = [command[0], "--input", path, *command[1:], "--out", str(tmp_path / "o.csv")]
+        code = ("import sys, lsar.cli\n"
+                f"status = lsar.cli.main({argv!r})\n"
+                "print(status, 'scipy.linalg' in sys.modules, "
+                "'scipy.linalg._flapack' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "0 False True"
+
+    def test_cli_import_leaves_out_hashlib(self):
+        # Only the audit checksum, which no command reads, uses hashlib.
+        code = "import sys, lsar.cli; print('hashlib' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
 
 class TestFit:
     def test_hand_system(self, tmp_path, capsys):
@@ -372,6 +399,26 @@ class TestEval:
         lines = body_lines(out)
         assert lines[0].strip() == "s,scheme,rel_param_err,resid_ratio,excluded"
         assert len(lines) == 5  # two sizes x two schemes
+
+    def test_ratios_sizes_must_be_integers(self, tmp_path, capsys):
+        gen = series_file(tmp_path, np.arange(1.0, 50.0).tolist())
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as info:
+            run(["eval", "ratios", "--input", gen, "--p", "2", "--sizes", "abc",
+                 "--out", str(out)])
+        assert info.value.code == 2
+        assert "comma-separated integers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_ratios_reps_must_be_positive(self, tmp_path, capsys, reps):
+        gen = series_file(tmp_path, np.random.default_rng(2).normal(size=200).tolist())
+        out = tmp_path / "o.csv"
+        code = run(["eval", "ratios", "--input", gen, "--p", "2", "--sizes", "50",
+                    "--reps", reps, "--out", str(out)])
+        assert code == EXIT_DATA
+        assert f"reps must be >= 1, got {reps}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lag_study_requires_pbar(self, tmp_path, capsys):
         gen = series_file(tmp_path, np.arange(1.0, 50.0).tolist())

@@ -49,9 +49,7 @@ class TestMpre:
         assert mpre(scores, scores) == 0.0
 
     def test_zero_exact_score_rejected(self):
-        exact = LeverageScores(
-            1, np.array([0.0, 1.0]), Provenance.EXACT, np.array([0.0, 1.0])
-        )
+        exact = LeverageScores(1, np.array([0.0, 1.0]), Provenance.EXACT, 1.0)
         with pytest.raises(DataError, match="index 0"):
             mpre(exact, make_scores([0.1, 0.9]))
 

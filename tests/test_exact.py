@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -185,6 +189,76 @@ class TestSolveOls:
         monkeypatch.setattr(lsar.exact, "solve_triangular", singular)
         with pytest.raises(NumericalError, match="singular"):
             solve_ols(r_factor(panel(np.eye(3), np.ones(3))))
+
+
+class TestSolveTriangular:
+    @pytest.mark.parametrize("p", [1, 2, 6, 40, 100])
+    def test_bit_identical_to_scipy_on_streamed_factors(self, p):
+        r = augmented_r(random_design(4 * p + 300, p, p))
+        expected = solve_triangular(r[:p, :p], r[:p, p])
+        assert np.array_equal(solve_ols(r), expected)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bit_identical_to_scipy_at_kappa_1e8(self, order):
+        rng = np.random.default_rng(16)
+        u, _ = np.linalg.qr(rng.normal(size=(300, 8)))
+        v, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        a = u @ np.diag(np.logspace(0, -8, 8)) @ v.T
+        b = a @ rng.normal(size=8) + 1e-3 * rng.normal(size=300)
+        r = np.asarray(r_factor(panel(a, b)), order=order)
+        expected = solve_triangular(r[:8, :8], r[:8, 8])
+        assert np.array_equal(solve_ols(r), expected)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_factor_is_numerical_error(self, bad):
+        rng = np.random.default_rng(17)
+        r = r_factor(panel(rng.normal(size=(20, 3)), rng.normal(size=20)))
+        r[0, 2] = bad  # off the diagonal, so the rank check passes
+        with pytest.raises(NumericalError, match="infs or NaNs"):
+            solve_ols(r)
+
+    def test_singular_factor_is_linalg_error(self):
+        # solve_ols maps this onto NumericalError (see TestSolveOls).
+        r = np.triu(np.ones((3, 3)))
+        r[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            lsar.exact.solve_triangular(r, np.ones(3))
+
+
+class TestWrapperLoading:
+    def test_missing_wrapper_is_import_error(self):
+        with pytest.raises(ImportError, match="scipy.linalg._no_such_wrapper"):
+            lsar.exact._load_wrapper("_no_such_wrapper")
+
+    def test_scipy_linalg_imports_after_the_wrappers_and_shares_them(self):
+        # In a fresh process: lsar loads the wrappers without the package,
+        # then the package imports over them and computes bit for bit alike.
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from lsar import exact
+            ours = (exact.lapack, exact.blas)
+            assert "scipy.linalg" not in sys.modules
+            from scipy.linalg import blas, lapack
+            rng = np.random.default_rng(0)
+            a = np.asfortranarray(rng.normal(size=(50, 6)))
+            b = np.asfortranarray(rng.normal(size=(20, 6)))
+            r = np.triu(rng.normal(size=(6, 6))) + 6.0 * np.eye(6)
+            y = rng.normal(size=6)
+            results = []
+            for lap, bl in (ours, (lapack, blas)):
+                qr = lap.dgeqrt(4, a)[0]
+                top = np.asfortranarray(np.triu(qr[:6]))
+                folded = lap.dtpqrt(0, 4, top, b)[0]
+                x = lap.dtrtrs(r.T, y, lower=1, trans=1)[0]
+                rows = bl.dtrsm(1.0, np.asfortranarray(r), b, side=1)
+                results.append((qr, folded, x, rows))
+            print(all(np.array_equal(u, v) for u, v in zip(*results)))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "True"
 
 
 def traced_peak(call) -> int:

@@ -21,7 +21,8 @@ from lsar import (
     quasi_scores,
 )
 from lsar.evalbench import conditioning, conditioning_kappa
-from lsar.recursion import approximate_sweep, ar1_scores
+from lsar.exact import ARFit, FitSource, LeverageScores
+from lsar.recursion import _advance, approximate_sweep, ar1_scores
 from lsar.sampling import draw_plan, sample_size
 
 from conftest import hat_diagonal
@@ -172,6 +173,18 @@ class TestFullyApproxScores:
         assert state.scores.clamp_count >= 0
         assert state.scores.provenance is Provenance.FULLY_APPROXIMATE
 
+    def test_advance_clamps_approximate_scores_only(self):
+        previous = LeverageScores.from_scores(1, np.array([0.9, 0.5, 0.1]), Provenance.EXACT)
+        fit = ARFit(order=1, coefficients=np.zeros(1), residuals=np.array([0.8, 0.6, 0.0]),
+                    residual_norm=1.0, noise_variance=1.0 / 3.0, source=FitSource.SAMPLED)
+        clamped = _advance(previous, fit, Provenance.FULLY_APPROXIMATE)
+        np.testing.assert_array_equal(clamped.scores, [1.0, 0.86, 0.1])
+        assert clamped.clamp_count == 1
+        assert clamped.total == 1.96
+        exact = _advance(previous, fit, Provenance.EXACT)
+        np.testing.assert_array_equal(exact.scores, [0.9 + 0.64, 0.86, 0.1])
+        assert exact.clamp_count == 0
+
     def test_residual_norm_consistent(self, ar2_series):
         state = fully_approx_scores(ar2_series, 3, FRACTION_RULE, seed=2)
         np.testing.assert_allclose(
@@ -191,6 +204,13 @@ class TestApproximateSweep:
         for state in states:
             assert state.window == ar2_series.n - target + state.p
             assert len(state.scores) == ar2_series.n - target
+
+    def test_sampling_distribution_is_never_formed(self, ar2_series):
+        # draw_plan works from the scores and their total, so no order of
+        # the sweep stores pi = scores / total next to the scores.
+        states = list(approximate_sweep(ar2_series, 6, FRACTION_RULE, seed=0))
+        assert [s.p for s in states] == list(range(1, 7))
+        assert all("distribution" not in vars(s.scores) for s in states)
 
     def test_driver_window_offset(self, ar2_series):
         states = list(
