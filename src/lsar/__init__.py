@@ -46,7 +46,6 @@ from .recursion import (
     ar1_scores,
     exact_recursive_scores,
     fully_approx_scores,
-    quasi_scores,
 )
 from .sampling import (
     RNG_NAME,

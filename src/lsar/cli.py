@@ -258,7 +258,7 @@ def cmd_ingest(args) -> int:
         args.input,
         column=args.column,
         delimiter=args.delimiter,
-        has_header=args.has_header if args.has_header is not None else None,
+        has_header=args.has_header,
     )
     original_n = series.n
     if args.transform in ("log_diff", "log_diff_center"):
@@ -370,10 +370,8 @@ def cmd_lsar(args) -> int:
 def cmd_eval(args) -> int:
     series = read_series(args.input)
     rule = _size_rule(args)
-    meta = evalbench.report_metadata(
-        series.n, args.seed,
-        {"command": f"eval.{args.study}", "rng": RNG_NAME, **runtime_metadata()},
-    )
+    meta = {"rng": RNG_NAME, "seed": args.seed, "n": series.n,
+            "command": f"eval.{args.study}", **runtime_metadata()}
     if args.study in ("mpre", "bounds", "timing"):
         if args.pbar is None:
             raise DataError(f"eval {args.study} needs --pbar")
@@ -489,7 +487,7 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"lsar: error={type(err).__name__} {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (DataError, LsarError) as err:
+    except LsarError as err:
         print(f"lsar: error={type(err).__name__} {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -111,7 +111,6 @@ def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
         cfg.size_rule,
         cfg.seed,
         delta_for_order=_delta_schedule(cfg),
-        window_offset=cfg.max_order,
     )
     t0 = time.perf_counter()
     while True:

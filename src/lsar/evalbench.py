@@ -20,8 +20,7 @@ import numpy as np
 from .errors import DataError, RankDeficiencyError
 from .exact import LeverageScores, _check_rank, augmented_r, exact_leverage, fit_ols
 from .recursion import approximate_sweep
-from .sampling import RNG_NAME, SampleSizeRule, SamplingPlan, draw_plan, make_rng, \
-    reduced_fit
+from .sampling import SampleSizeRule, SamplingPlan, draw_plan, make_rng, reduced_fit
 from .series import ARGeneratorSpec, TimeSeries, generate_ar, make_design
 
 LAG_HEADER = ("p", "mpre", "bound_linear", "bound_log", "time_exact", "time_approx")
@@ -93,9 +92,8 @@ def mpre_curve(
     uses, so both sides see identical designs.
     """
     rows = []
-    for state in approximate_sweep(
-        series, max_lag, size_rule, seed, delta0=delta0, window_offset=max_lag
-    ):
+    delta_for_order = None if delta0 is None else (lambda q: delta0 / q)
+    for state in approximate_sweep(series, max_lag, size_rule, seed, delta_for_order):
         window = series.prefix(state.window)
         exact = exact_leverage(make_design(window, state.p))
         rows.append((state.p, mpre(exact, state.scores)))
@@ -143,11 +141,7 @@ def uniform_plan(m_rows: int, s: int, *seed_words) -> SamplingPlan:
     """Uniform with-replacement baseline plan with the matching rescaling."""
     rng = make_rng(*seed_words)
     indices = rng.integers(0, m_rows, size=s)
-    return SamplingPlan(
-        indices=indices.astype(np.int64),
-        weights=np.full(s, math.sqrt(m_rows / s)),
-        source_distribution=np.full(m_rows, 1.0 / m_rows),
-    )
+    return SamplingPlan(indices.astype(np.int64), np.full(s, math.sqrt(m_rows / s)))
 
 
 def ratio_study(
@@ -227,9 +221,7 @@ def timing_study(
             exact_times.append(time.perf_counter() - t0)
         approx_times = []
         t0 = time.perf_counter()
-        for _ in approximate_sweep(
-            series, max_lag, size_rule, seed, window_offset=max_lag
-        ):
+        for _ in approximate_sweep(series, max_lag, size_rule, seed):
             t1 = time.perf_counter()
             approx_times.append(t1 - t0)
             t0 = t1
@@ -262,10 +254,3 @@ def contaminated_series(
     values = clean.values.copy()
     values[idx] *= factor
     return TimeSeries(values)
-
-
-def report_metadata(series_n: int, seed: int, extra: dict | None = None) -> dict:
-    meta = {"rng": RNG_NAME, "seed": seed, "n": series_n}
-    if extra:
-        meta.update(extra)
-    return meta

@@ -51,7 +51,6 @@ class FitSource(enum.Enum):
 
 class Provenance(enum.Enum):
     EXACT = "exact"
-    QUASI = "quasi"
     FULLY_APPROXIMATE = "fully_approximate"
 
 

@@ -2,14 +2,15 @@
 
 The Toeplitz structure of the design makes the order-p scores an update of
 the order-(p-1) scores: the increment is the normalized squared residual of
-the order-(p-1) fit on a window one observation shorter.  Three variants
-live here:
+the order-(p-1) fit on a window one observation shorter.  One sweep,
+`approximate_sweep`, runs the recursion.  Its row policy decides which rows
+each of those fits uses:
 
-* exact recursion -- full-data fits at every intermediate order;
-* quasi-approximate scores -- exact previous-order scores plus a
-  sampled-residual increment (diagnostics only);
-* fully-approximate scores -- the practical recursion that carries only
-  approximated scores and sampled residuals forward.
+* all rows (no size rule) -- full-data fits, so the scores are exact and
+  equal the hat-matrix diagonal;
+* sampled rows (a size rule) -- reduced fits on rows drawn from the current
+  scores: the fully-approximate recursion of LSAR, which carries only
+  approximated scores and sampled-fit residuals forward.
 
 For a target order p on a series of length n, intermediate order q runs on
 the window of the first ``n - p + q`` observations, so every score vector
@@ -24,11 +25,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DataError, DistributionError, NumericalError, RankDeficiencyError, \
-    ZeroResidualError
+from .errors import DataError, NumericalError, RankDeficiencyError, ZeroResidualError
 from .exact import ARFit, LeverageScores, Provenance, fit_ols
-from .sampling import SampleSizeRule, SamplingPlan, distribution_checksum, draw_plan, \
-    reduced_fit, sample_size
+from .sampling import SampleSizeRule, draw_plan, reduced_fit, sample_size
 from .series import TimeSeries, make_design
 
 # Residual norms at or below this fraction of the window norm count as an
@@ -59,7 +58,7 @@ class RecursionState:
         return self.fit.residual_norm**2
 
 
-def ar1_scores(series: TimeSeries, provenance=Provenance.EXACT) -> LeverageScores:
+def ar1_scores(series: TimeSeries) -> LeverageScores:
     """Base case: order-1 scores are ``y_i^2 / sum_{t<n} y_t^2``."""
     y = series.values
     with np.errstate(over="ignore"):
@@ -74,7 +73,7 @@ def ar1_scores(series: TimeSeries, provenance=Provenance.EXACT) -> LeverageScore
                 "order-1 scores undefined: the squares of the lagged values underflow"
             )
         raise DataError("order-1 scores undefined: all lagged values are zero")
-    return LeverageScores.from_scores(1, y[:-1] ** 2 / total, provenance)
+    return LeverageScores.from_scores(1, y[:-1] ** 2 / total, Provenance.EXACT)
 
 
 def _check_residual(fit: ARFit, window_norm: float):
@@ -104,84 +103,35 @@ def _advance(scores: LeverageScores, fit: ARFit, provenance: Provenance):
     )
 
 
-def exact_recursive_scores(series: TimeSeries, p: int) -> LeverageScores:
-    """Exact leverage scores at order ``p`` via the recursion.
-
-    Intermediate fits are full-data OLS solves on the growing windows; the
-    result matches the hat-matrix diagonal of the order-p design.
-    """
-    n = series.n
-    if p < 1 or n - p < p:
-        raise DataError(f"order p={p} needs n - p >= p, got n={n}")
-    window = series.prefix(n - p + 1)
-    scores = ar1_scores(window)
-    for q in range(1, p):
-        fit = fit_ols(make_design(window, q))
-        _check_residual(fit, float(np.linalg.norm(window.values)))
-        window = series.prefix(n - p + q + 1)
-        scores = _advance(scores, fit, Provenance.EXACT)
-    return scores
-
-
-def quasi_scores(series: TimeSeries, p: int, plan: SamplingPlan) -> LeverageScores:
-    """Diagnostic variant: exact order-(p-1) scores plus a sampled-residual
-    increment.
-
-    The plan must have been drawn from the exact order-(p-1) distribution on
-    the window of the first n - 1 observations; the plan checksum is audited
-    against that distribution.
-    """
-    if p < 2:
-        raise DataError(f"quasi scores need p >= 2, got {p}")
-    window = series.prefix(series.n - 1)
-    prev = exact_recursive_scores(window, p - 1)
-    if plan.source_distribution_checksum != distribution_checksum(prev.distribution):
-        raise DistributionError(
-            "plan was not drawn from the exact order-(p-1) distribution "
-            "(checksum mismatch)"
-        )
-    fit = reduced_fit(make_design(window, p - 1), plan)
-    _check_residual(fit, float(np.linalg.norm(window.values)))
-    return _advance(prev, fit, Provenance.QUASI)
-
-
 def approximate_sweep(
     series: TimeSeries,
     target_order: int,
-    size_rule: SampleSizeRule,
-    seed: int,
-    delta0: float | None = None,
+    size_rule: SampleSizeRule | None = None,
+    seed: int = 0,
     delta_for_order=None,
-    identity_plans: bool = False,
-    window_offset: int | None = None,
 ) -> Iterator[RecursionState]:
-    """Drive the fully-approximate recursion, yielding state per order.
+    """Run the recursion up to ``target_order``, yielding the state per order.
 
-    At order q the window holds the first ``n - offset + q`` observations,
-    where ``offset`` defaults to ``target_order`` (standalone use) and is the
-    driver's max order inside the order-selection loop.  The yielded state's
-    fit is the reduced OLS solve at order q on that window; its residuals
-    feed the order q + 1 score update.
+    At order q the window holds the first ``n - target_order + q``
+    observations.  The yielded state's fit is the order-q solve on that
+    window; its residuals feed the order q + 1 score update.
 
-    Per-order failure probability is ``delta0 / q`` when ``delta0`` is given;
-    ``delta_for_order`` (a callable q -> delta) overrides that; otherwise the
-    rule's own delta applies.  A rank-deficient reduced system is resampled
-    once with a fresh seed offset before erroring.  Deterministic given
-    ``seed``.
+    Without ``size_rule`` every fit uses all rows of the design, so the
+    scores are exact.  With one, every fit is a reduced solve on rows drawn
+    from the current scores.  The per-order failure probability is
+    ``delta_for_order(q)`` when that callable is given, otherwise the rule's
+    own delta.  A rank-deficient reduced system is resampled once with a
+    fresh seed offset before erroring.  Deterministic given ``seed``.
     """
     n = series.n
-    offset = target_order if window_offset is None else window_offset
-    if target_order < 1 or offset < target_order or n - offset < 1:
-        raise DataError(
-            f"bad sweep bounds: target {target_order}, offset {offset}, n {n}"
-        )
-    if delta_for_order is None and delta0 is not None:
-        delta_for_order = lambda q: delta0 / q
+    if target_order < 1 or n - target_order < 1:
+        raise DataError(f"bad sweep bounds: target {target_order}, n {n}")
+    provenance = Provenance.EXACT if size_rule is None else Provenance.FULLY_APPROXIMATE
     scores = fit = None
     for q in range(1, target_order + 1):
-        window = series.prefix(n - offset + q)
+        window = series.prefix(n - target_order + q)
         if q == 1:
-            scores = ar1_scores(window, Provenance.EXACT)
+            scores = ar1_scores(window)
             # |window|^2, grown by one square per order below.
             window_norm2 = float(np.dot(window.values, window.values))
         else:
@@ -190,16 +140,16 @@ def approximate_sweep(
             # A perfect previous fit makes the increment 0/0; abort rather
             # than mask it, since every later order would inherit the damage.
             _check_residual(fit, math.sqrt(window_norm2))
-            scores = _advance(scores, fit, Provenance.FULLY_APPROXIMATE)
+            scores = _advance(scores, fit, provenance)
             # Spent: once the consumer has let go of the last state, as
             # run_lsar does, its arrays are freed before this order's solve.
             fit = None
-        delta = None if delta_for_order is None else delta_for_order(q)
         design = make_design(window, q)
-        if identity_plans:
+        if size_rule is None:
             s = design.row_count
-            fit = reduced_fit(design, SamplingPlan.identity(design.row_count))
+            fit = fit_ols(design)
         else:
+            delta = None if delta_for_order is None else delta_for_order(q)
             s = sample_size(size_rule, q, window.n, delta=delta)
             fit = _reduced_fit_with_retry(design, scores, s, seed, q)
         yield RecursionState(p=q, scores=scores, fit=fit, window=window.n, sample_size=s)
@@ -218,24 +168,36 @@ def _reduced_fit_with_retry(design, scores, s, seed, q):
     raise AssertionError("unreachable")
 
 
+def _last_state(sweep: Iterator[RecursionState]) -> RecursionState:
+    for state in sweep:
+        pass
+    return state
+
+
+def exact_recursive_scores(series: TimeSeries, p: int) -> LeverageScores:
+    """Exact leverage scores at order ``p``: the last scores of the sweep
+    with full-data fits, which match the hat-matrix diagonal of the order-p
+    design."""
+    n = series.n
+    if p < 1 or n - p < p:
+        raise DataError(f"order p={p} needs n - p >= p, got n={n}")
+    return _last_state(approximate_sweep(series, p)).scores
+
+
 def fully_approx_scores(
     series: TimeSeries,
     p: int,
     size_rule: SampleSizeRule,
     seed: int,
     delta0: float | None = None,
-    identity_plans: bool = False,
 ) -> RecursionState:
-    """Fully-approximate leverage scores at order ``p``.
+    """Final state of the fully-approximate sweep to order ``p``, with the
+    per-order failure probability ``delta0 / q`` when ``delta0`` is given.
 
     Order 1 is exact, order 2 uses the sampled increment on top of exact
     order-1 scores, and orders >= 3 recurse on previously approximated
-    scores.  Returns the final state: scores at order p plus the order-p
-    reduced fit whose residuals would advance the recursion further.
+    scores.  The state holds the scores at order p plus the order-p reduced
+    fit whose residuals would advance the recursion further.
     """
-    state = None
-    for state in approximate_sweep(
-        series, p, size_rule, seed, delta0=delta0, identity_plans=identity_plans
-    ):
-        pass
-    return state
+    delta_for_order = None if delta0 is None else (lambda q: delta0 / q)
+    return _last_state(approximate_sweep(series, p, size_rule, seed, delta_for_order))

@@ -12,12 +12,11 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DistributionError, SampleSizeError
+from .errors import DistributionError, SampleSizeError
 from .exact import ARFit, FitSource, LeverageScores, augmented_r, fit_from_coefficients, \
     solve_ols
 from .series import ARDesign
@@ -43,61 +42,26 @@ def distribution_checksum(distribution: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(distribution).tobytes()).hexdigest()[:16]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SamplingPlan:
-    """With-replacement row draws plus their rescaling weights.
-
-    ``source_distribution`` is the read-only distribution the rows were
-    drawn from, given either as an array or as the `LeverageScores` that
-    induce it.  Either is kept by reference: scores are divided by their
-    total only when ``source_distribution`` is read, and the distribution is
-    hashed only when the audit checksum is read.  Hand-built plans may leave
-    it out.
-    """
+    """With-replacement row draws plus their rescaling weights, both made
+    read-only."""
 
     indices: np.ndarray
     weights: np.ndarray
-    _source: np.ndarray | LeverageScores | None = field(repr=False)
 
-    def __init__(self, indices: np.ndarray, weights: np.ndarray,
-                 source_distribution: np.ndarray | LeverageScores | None = None):
-        indices.setflags(write=False)
-        weights.setflags(write=False)
-        if isinstance(source_distribution, np.ndarray):
-            source_distribution.setflags(write=False)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_source", source_distribution)
+    def __post_init__(self):
+        self.indices.setflags(write=False)
+        self.weights.setflags(write=False)
 
     @property
     def size(self) -> int:
         return self.indices.size
 
-    @property
-    def source_distribution(self) -> np.ndarray | None:
-        if isinstance(self._source, LeverageScores):
-            return self._source.distribution
-        return self._source
-
-    @cached_property
-    def source_distribution_checksum(self) -> str:
-        """Audit hash of the source distribution; empty when it is unknown."""
-        if self.source_distribution is None:
-            return ""
-        return distribution_checksum(self.source_distribution)
-
     @classmethod
     def identity(cls, m_rows: int) -> "SamplingPlan":
-        """Every row exactly once with unit weight (S = I up to scaling).
-
-        The source is the uniform distribution, for which s = m makes every
-        weight 1/sqrt(m * 1/m) = 1.
-        """
-        return cls(
-            indices=np.arange(m_rows, dtype=np.int64),
-            weights=np.ones(m_rows),
-            source_distribution=np.full(m_rows, 1.0 / m_rows),
-        )
+        """Every row exactly once with unit weight (S = I up to scaling)."""
+        return cls(np.arange(m_rows, dtype=np.int64), np.ones(m_rows))
 
 
 class SizeMode(enum.Enum):
@@ -200,11 +164,7 @@ def draw_plan(scores: LeverageScores, s: int, *seed_words) -> SamplingPlan:
     indices = np.empty(s, dtype=np.intp)
     indices[order] = np.searchsorted(cdf, uniforms[order], side="right")
     weights = 1.0 / np.sqrt(s * (scores.scores[indices] / scores.total))
-    return SamplingPlan(
-        indices=indices,
-        weights=weights,
-        source_distribution=scores,
-    )
+    return SamplingPlan(indices, weights)
 
 
 def reduced_fit(design: ARDesign, plan: SamplingPlan) -> ARFit:

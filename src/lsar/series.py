@@ -14,8 +14,7 @@ matrix-matrix (BLAS-3) speed for every order.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view

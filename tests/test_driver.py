@@ -130,7 +130,7 @@ class TestRunLsar:
         result = run_lsar(y, cfg)
         assert result.selected_order >= 1
         sweep = list(approximate_sweep(y, cfg.max_order, cfg.size_rule, cfg.seed,
-                                       delta0=cfg.delta0, window_offset=cfg.max_order))
+                                       lambda q: cfg.delta0 / q))
         own = sweep[result.selected_order - 1].fit
         assert result.final_fit.source is FitSource.SAMPLED
         assert result.final_fit.order == own.order

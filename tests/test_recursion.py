@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsar import (
     ARGeneratorSpec,
     DataError,
-    DistributionError,
     Provenance,
     SampleSizeRule,
-    SamplingPlan,
     SizeMode,
     TimeSeries,
     ZeroResidualError,
@@ -18,16 +18,16 @@ from lsar import (
     fully_approx_scores,
     generate_ar,
     make_design,
-    quasi_scores,
 )
 from lsar.evalbench import conditioning, conditioning_kappa
 from lsar.exact import ARFit, FitSource, LeverageScores
 from lsar.recursion import _advance, approximate_sweep, ar1_scores
-from lsar.sampling import draw_plan, sample_size
+from lsar.sampling import draw_plan, reduced_fit, sample_size
 
 from conftest import hat_diagonal
 
 FRACTION_RULE = SampleSizeRule(SizeMode.FRACTION, fraction=0.05)
+SCALE_SERIES = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 2000, seed=11))
 
 
 class TestExactRecursion:
@@ -82,43 +82,9 @@ class TestExactRecursion:
 
 
 class TestQuasiScores:
-    def test_identity_plan_collapses_to_exact(self, ar1_series):
-        for p in (2, 3, 5):
-            window = ar1_series.prefix(ar1_series.n - 1)
-            prev = exact_recursive_scores(window, p - 1)
-            plan = SamplingPlan.identity(window.n - (p - 1))
-            # The identity plan's source is the uniform distribution; rebuild
-            # it against the exact distribution it claims to come from.
-            plan = SamplingPlan(
-                indices=plan.indices,
-                weights=plan.weights,
-                source_distribution=prev.distribution,
-            )
-            quasi = quasi_scores(ar1_series, p, plan)
-            exact = exact_recursive_scores(ar1_series, p)
-            np.testing.assert_allclose(quasi.scores, exact.scores, atol=1e-10)
-            assert quasi.provenance is Provenance.QUASI
-
-    def test_rejects_plan_from_other_distribution(self, ar1_series):
-        window = ar1_series.prefix(ar1_series.n - 1)
-        wrong = exact_leverage(make_design(window, 3))
-        plan = draw_plan(wrong, 50, 0)
-        with pytest.raises(DistributionError):
-            quasi_scores(ar1_series, 2, plan)
-
-    def test_rejects_plan_without_source(self, ar1_series):
-        plan = SamplingPlan(indices=np.arange(10), weights=np.ones(10))
-        assert plan.source_distribution_checksum == ""
-        with pytest.raises(DistributionError):
-            quasi_scores(ar1_series, 2, plan)
-
-    def test_order_below_two_rejected(self, ar1_series):
-        plan = SamplingPlan.identity(10)
-        with pytest.raises(DataError):
-            quasi_scores(ar1_series, 1, plan)
-
     def test_monte_carlo_deviation_bound(self, ar2_series):
         # Probabilistic score-error bound at order 2: the sampled increment
+        # on top of the exact order-1 scores (the quasi-approximate scores)
         # deviates from the exact one by at most (1 + 3 eta kappa^2) sqrt(eps)
         # in at least 90% of trials.
         epsilon = 0.5
@@ -133,10 +99,11 @@ class TestQuasiScores:
         )
         s = sample_size(rule, 1, window.n)
         exact = exact_recursive_scores(ar2_series, 2)
+        design = make_design(window, 1)
         hits = 0
         for trial in range(50):
-            plan = draw_plan(prev, s, 99, trial)
-            quasi = quasi_scores(ar2_series, 2, plan)
+            fit = reduced_fit(design, draw_plan(prev, s, 99, trial))
+            quasi = _advance(prev, fit, Provenance.FULLY_APPROXIMATE)
             deviation = np.max(
                 np.abs(quasi.scores - exact.scores) / exact.scores
             )
@@ -151,14 +118,16 @@ class TestFullyApproxScores:
         np.testing.assert_allclose(state.scores.scores, exact.scores, atol=1e-12)
 
     def test_identity_plans_collapse_to_exact(self, ar1_series):
+        # The sweep without a size rule fits on every row; its scores are
+        # checked against the independent Q-free hat diagonal.
         for p in (2, 4, 6):
-            state = fully_approx_scores(
-                ar1_series, p, FRACTION_RULE, seed=0, identity_plans=True
-            )
-            exact = exact_recursive_scores(ar1_series, p)
+            *_, state = approximate_sweep(ar1_series, p)
+            exact = exact_leverage(make_design(ar1_series, p))
             np.testing.assert_allclose(
                 state.scores.scores, exact.scores, atol=1e-10
             )
+            assert state.scores.provenance is Provenance.EXACT
+            assert state.sample_size == ar1_series.n - p
 
     def test_deterministic_given_seed(self, ar2_series):
         a = fully_approx_scores(ar2_series, 5, FRACTION_RULE, seed=42)
@@ -212,16 +181,6 @@ class TestApproximateSweep:
         assert [s.p for s in states] == list(range(1, 7))
         assert all("distribution" not in vars(s.scores) for s in states)
 
-    def test_driver_window_offset(self, ar2_series):
-        states = list(
-            approximate_sweep(
-                ar2_series, 3, FRACTION_RULE, seed=0, window_offset=10
-            )
-        )
-        assert [s.window for s in states] == [
-            ar2_series.n - 10 + p for p in (1, 2, 3)
-        ]
-
     def test_zero_residual_yields_then_aborts(self, noiseless_half):
         sweep = approximate_sweep(noiseless_half, 3, FRACTION_RULE, seed=0)
         first = next(sweep)
@@ -233,9 +192,33 @@ class TestApproximateSweep:
     def test_bad_bounds_rejected(self, ar1_series):
         with pytest.raises(DataError):
             list(approximate_sweep(ar1_series, 0, FRACTION_RULE, seed=0))
-        with pytest.raises(DataError):
-            list(
-                approximate_sweep(
-                    ar1_series, 5, FRACTION_RULE, seed=0, window_offset=3
-                )
-            )
+
+    @pytest.mark.parametrize("rule", [None, FRACTION_RULE], ids=["full", "sampled"])
+    def test_held_states_survive_next(self, ar2_series, rule):
+        # No array the sweep has yielded may change after it advances.
+        held = []
+        for state in approximate_sweep(ar2_series, 6, rule, seed=0):
+            for old, copies in held:
+                np.testing.assert_array_equal(old.scores.scores, copies[0])
+                np.testing.assert_array_equal(old.fit.coefficients, copies[1])
+                np.testing.assert_array_equal(old.fit.residuals, copies[2])
+            arrays = (state.scores.scores, state.fit.coefficients, state.fit.residuals)
+            held.append((state, [a.copy() for a in arrays]))
+        assert len(held) == 6
+
+
+class TestScaleInvariance:
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(-200, 200))
+    def test_power_of_two_scaling_is_exact(self, k):
+        # Multiplying by 2^k is exact in floating point, so scores and
+        # coefficients must not move and every residual norm scales by 2^k.
+        scaled = TimeSeries(np.ldexp(SCALE_SERIES.values, k))
+        for rule in (None, FRACTION_RULE):
+            base = list(approximate_sweep(SCALE_SERIES, 6, rule, seed=3))
+            moved = list(approximate_sweep(scaled, 6, rule, seed=3))
+            assert len(moved) == len(base) == 6
+            for a, b in zip(base, moved):
+                np.testing.assert_array_equal(b.scores.scores, a.scores.scores)
+                np.testing.assert_array_equal(b.fit.coefficients, a.fit.coefficients)
+                assert b.fit.residual_norm == math.ldexp(a.fit.residual_norm, k)

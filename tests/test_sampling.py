@@ -50,21 +50,6 @@ class TestDrawPlan:
         b = draw_plan(scores, 50, 7, 3)
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.weights, b.weights)
-        assert a.source_distribution_checksum == b.source_distribution_checksum
-
-    def test_checksum_is_computed_when_read(self, monkeypatch):
-        import lsar.sampling
-
-        hashed = []
-        real = lsar.sampling.distribution_checksum
-        monkeypatch.setattr(lsar.sampling, "distribution_checksum",
-                            lambda pi: hashed.append(pi) or real(pi))
-        scores = scores_from_distribution(np.arange(1.0, 11.0))
-        plan = draw_plan(scores, 5, 1)
-        assert hashed == []
-        assert plan.source_distribution is scores.distribution
-        assert plan.source_distribution_checksum == real(scores.distribution)
-        assert len(hashed) == 1
 
     def test_empirical_frequencies_match_distribution(self):
         rng = np.random.default_rng(0)
