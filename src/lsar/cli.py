@@ -299,23 +299,19 @@ def cmd_pacf(args) -> int:
             bandwidth_multiplier=args.bandwidth_multiplier,
             seed=args.seed,
         )
-        result = run_lsar(series, cfg)
-        trace = result.pacf
-        bands = trace.per_lag_bandwidth
-        mode = "sampled"
+        trace = run_lsar(series, cfg).pacf
     else:
         trace = exact_pacf(series, args.pbar)
-        bands = np.full(trace.estimates.size, trace.bandwidth)
-        mode = "exact"
     say(f"selected_order={trace.selected_order}")
     if args.out:
         rows = [
             (int(lag), float(est), float(band))
-            for lag, est, band in zip(trace.lags, trace.estimates, bands)
+            for lag, est, band in zip(trace.lags, trace.estimates, trace.bandwidth)
         ]
-        meta = {"command": "pacf", "mode": mode, "n": series.n, "pbar": args.pbar,
-                "effective_sample": trace.effective_sample, "rng": RNG_NAME,
-                "seed": args.seed, "selected_order": trace.selected_order, **uncentred}
+        meta = {"command": "pacf", "mode": "sampled" if args.sampled else "exact",
+                "n": series.n, "pbar": args.pbar, "effective_sample": trace.effective_sample,
+                "rng": RNG_NAME, "seed": args.seed, "selected_order": trace.selected_order,
+                **uncentred}
         report.write_csv_report(args.out, ["lag", "pacf", "bandwidth"], rows, meta)
     return 0
 

@@ -50,8 +50,9 @@ class LsarConfig:
             raise DataError(f"max_order must be >= 1, got {self.max_order}")
         if not 0 < self.delta0 < 1:
             raise DataError(f"delta0 must be in (0,1), got {self.delta0}")
-        if self.bandwidth_multiplier <= 0:
-            raise DataError("bandwidth_multiplier must be positive")
+        if not 0 < self.bandwidth_multiplier < math.inf:
+            raise DataError("bandwidth_multiplier must be positive and finite, "
+                            f"got {self.bandwidth_multiplier}")
 
 
 @dataclass(frozen=True)
@@ -145,13 +146,12 @@ def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
 
     estimates = np.array([r.pacf_estimate for r in records])
     bands = np.array([r.bandwidth for r in records])
-    selected = select_order(estimates, bands) if records else 0
+    selected = select_order(estimates, bands)
     pacf = PacfTrace(
         estimates=estimates,
-        bandwidth=float(bands[-1]) if records else float("nan"),
+        bandwidth=bands,
         effective_sample=records[-1].sample_size if records else 1,
         selected_order=selected,
-        per_lag_bandwidth=bands if records else None,
     )
     final_fit = None
     if selected >= 1 and cfg.refit_full:

@@ -25,6 +25,8 @@ from .series import ARGeneratorSpec, TimeSeries, generate_ar, make_design
 
 LAG_HEADER = ("p", "mpre", "bound_linear", "bound_log", "time_exact", "time_approx")
 SIZE_HEADER = ("s", "scheme", "rel_param_err", "resid_ratio", "excluded")
+# Row-sampling schemes of `ratio_study`, in row order.
+SCHEMES = ("leverage", "uniform")
 
 
 @dataclass(frozen=True)
@@ -45,21 +47,26 @@ def _triangular_spectrum(r: np.ndarray) -> tuple[float, float]:
     return float(singular[0]), float(singular[-1])
 
 
-def conditioning(series: TimeSeries, p: int) -> BoundInputs:
-    """kappa, xi, eta for the order-p design of ``series``.
+def conditioning_kappa(r: np.ndarray) -> float:
+    """Condition number ``smax / smin`` of an upper-triangular factor."""
+    smax, smin = _triangular_spectrum(r)
+    return smax / smin
+
+
+def conditioning(r: np.ndarray) -> BoundInputs:
+    """kappa, xi, eta from the R factor of a design's ``[X | y]``.
 
     xi is the fraction of the response captured by the fit, ``|X phi| / |y|``;
-    eta is ``kappa * sqrt(xi^-2 - 1)``.  All three come from the R factor of
-    ``[X | y]``: kappa from the singular values of ``R[:p, :p]``, and with
-    ``Q^T y = R[:, p]``, ``|X phi| = |R[:p, p]|`` and ``|y| = |R[:p+1, p]|``.
+    eta is ``kappa * sqrt(xi^-2 - 1)``.  For a (q + 1, q + 1) ``r``, kappa
+    comes from the singular values of ``R[:q, :q]``, and with
+    ``Q^T y = R[:, q]``, ``|X phi| = |R[:q, q]|`` and ``|y| = |R[:q+1, q]|``.
     """
-    r = augmented_r(make_design(series, p))
-    smax, smin = _triangular_spectrum(r[:p, :p])
+    q = r.shape[1] - 1
+    kappa = conditioning_kappa(r[:q, :q])
     # The relative rank check of the least-squares solve.
-    _check_rank(np.diag(r[:p, :p]), p)
-    kappa = smax / smin
-    explained = float(np.linalg.norm(r[:p, p]))
-    total = float(np.linalg.norm(r[:, p]))
+    _check_rank(np.diag(r[:q, :q]), q)
+    explained = float(np.linalg.norm(r[:q, q]))
+    total = float(np.linalg.norm(r[:, q]))
     xi = min(explained / total, 1.0) if total > 0 else 1.0
     eta = kappa * math.sqrt(max(xi**-2 - 1.0, 0.0))
     return BoundInputs(kappa=kappa, xi=xi, eta=eta)
@@ -113,28 +120,27 @@ def bound_curves(
     """Per-lag error-bound curves: the proven (p - 1) factor and the
     conjectured scaled log(p) variant.
 
+    The bound at lag p needs kappa, xi and eta of the order-(p - 1) fit on
+    the first n - 1 values, and kappa_p of the order-p design.  That fit's
+    ``[X | y]`` is the order-p design with its lag-1 column moved last, over
+    the same n - p rows, and singular values do not depend on column order:
+    so kappa_p is the condition number of its whole R, and each lag factors
+    one panel.
+
     Row format: (p, bound_linear, bound_log).
     """
     if not 0 < epsilon < 1:
         raise DataError(f"epsilon must be in (0,1), got {epsilon}")
-    rows = []
-    for p in range(1, max_lag + 1):
-        if p == 1:
-            rows.append((1, 0.0, 0.0))
-            continue
-        prev = conditioning(series.prefix(series.n - 1), p - 1)
-        kappa_p = conditioning_kappa(series, p)
-        linear = bound_linear_value(prev, kappa_p, p, epsilon)
+    if not 0 < c_log < math.inf:
+        raise DataError(f"c_log must be positive and finite, got {c_log}")
+    rows = [(1, 0.0, 0.0)] if max_lag >= 1 else []
+    shorter = series.prefix(series.n - 1)
+    for p in range(2, max_lag + 1):
+        r = augmented_r(make_design(shorter, p - 1))
+        linear = bound_linear_value(conditioning(r), conditioning_kappa(r), p, epsilon)
         log_variant = linear / (p - 1) * c_log * math.log(p)
         rows.append((p, linear, log_variant))
     return rows
-
-
-def conditioning_kappa(series: TimeSeries, p: int) -> float:
-    """Condition number of the order-p design of ``series``."""
-    r = augmented_r(make_design(series, p))
-    smax, smin = _triangular_spectrum(r[:p, :p])
-    return smax / smin
 
 
 def uniform_plan(m_rows: int, s: int, *seed_words) -> SamplingPlan:
@@ -150,7 +156,6 @@ def ratio_study(
     sizes: list[int],
     reps: int,
     seed: int,
-    schemes: tuple[str, ...] = ("leverage", "uniform"),
 ) -> list[tuple[int, str, float, float, int]]:
     """Sampled-versus-full estimate quality per sample size and scheme.
 
@@ -168,7 +173,7 @@ def ratio_study(
     scores = exact_leverage(design)
     rows = []
     for s in sizes:
-        for scheme in schemes:
+        for scheme in SCHEMES:
             err_sum = 0.0
             ratio_sum = 0.0
             excluded = 0
@@ -176,10 +181,8 @@ def ratio_study(
                 try:
                     if scheme == "leverage":
                         plan = draw_plan(scores, s, seed, p, s, rep, 0)
-                    elif scheme == "uniform":
-                        plan = uniform_plan(design.row_count, s, seed, p, s, rep, 1)
                     else:
-                        raise DataError(f"unknown scheme {scheme!r}")
+                        plan = uniform_plan(design.row_count, s, seed, p, s, rep, 1)
                     fit = reduced_fit(design, plan)
                 except RankDeficiencyError:
                     excluded += 1

@@ -117,16 +117,15 @@ class PacfTrace:
     """Partial autocorrelation estimates for lags 1..len(estimates).
 
     Undefined lags (rank-deficient fits) are stored as NaN and never
-    participate in order selection.  ``bandwidth`` is the zero-confidence
-    half-width 1.96/sqrt(effective_sample); with per-lag sample sizes the
-    optional ``per_lag_bandwidth`` takes precedence for selection.
+    participate in order selection.  ``bandwidth`` holds each lag's
+    zero-confidence half-width 1.96/sqrt(s) for that lag's sample size s;
+    ``effective_sample`` is the sample size of the last lag.
     """
 
     estimates: np.ndarray
-    bandwidth: float
+    bandwidth: np.ndarray
     effective_sample: int
     selected_order: int
-    per_lag_bandwidth: np.ndarray | None = None
 
     @property
     def lags(self) -> np.ndarray:
@@ -333,7 +332,7 @@ def exact_pacf(series: TimeSeries, max_lag: int) -> PacfTrace:
         except RankDeficiencyError:
             pass
     effective = n - max_lag
-    bandwidth = ZERO_CONFIDENCE_Z / math.sqrt(effective)
+    bandwidth = np.full(max_lag, ZERO_CONFIDENCE_Z / math.sqrt(effective))
     return PacfTrace(
         estimates=estimates,
         bandwidth=bandwidth,

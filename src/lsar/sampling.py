@@ -76,7 +76,7 @@ class SampleSizeRule:
     theoretical: ``s = ceil(c * p * ln(p/delta) / (beta * epsilon^2))``,
     natural log, with the hidden big-O constant exposed as ``c``.  When
     ``beta`` is None it defaults to the misestimation-factor form
-    ``max(beta_floor, 1 - beta_coeff * p * sqrt(epsilon))``.
+    ``max(DEFAULT_BETA_FLOOR, 1 - DEFAULT_BETA_COEFF * p * sqrt(epsilon))``.
 
     fraction: ``s = ceil(fraction * n)``.
 
@@ -89,8 +89,6 @@ class SampleSizeRule:
     beta: float | None = None
     constant: float = DEFAULT_THEORETICAL_CONSTANT
     fraction: float | None = None
-    beta_floor: float = DEFAULT_BETA_FLOOR
-    beta_coeff: float = DEFAULT_BETA_COEFF
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
@@ -104,8 +102,8 @@ class SampleSizeRule:
                 raise SampleSizeError(
                     f"fraction mode needs fraction in (0,1), got {self.fraction}"
                 )
-        elif self.constant <= 0:
-            raise SampleSizeError(f"constant must be positive, got {self.constant}")
+        elif not 0 < self.constant < math.inf:
+            raise SampleSizeError(f"constant must be positive and finite, got {self.constant}")
 
 
 def sample_size(rule: SampleSizeRule, p: int, n: int, delta: float | None = None) -> int:
@@ -123,9 +121,12 @@ def sample_size(rule: SampleSizeRule, p: int, n: int, delta: float | None = None
     else:
         beta = rule.beta
         if beta is None:
-            beta = max(rule.beta_floor, 1.0 - rule.beta_coeff * p * math.sqrt(rule.epsilon))
-        raw = rule.constant * p * math.log(p / delta) / (beta * rule.epsilon**2)
-        s = math.ceil(max(raw, 0.0))
+            beta = max(DEFAULT_BETA_FLOOR, 1.0 - DEFAULT_BETA_COEFF * p * math.sqrt(rule.epsilon))
+        scale = beta * rule.epsilon**2
+        # When beta * epsilon^2 underflows to zero or the quotient overflows,
+        # the size is infinite, which exceeds every row count below.
+        raw = rule.constant * p * math.log(p / delta) / scale if scale > 0 else math.inf
+        s = math.ceil(raw) if raw < math.inf else raw
     s = max(s, p + 1)
     m_rows = n - p
     if s > m_rows:

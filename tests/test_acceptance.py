@@ -37,6 +37,7 @@ from lsar.evalbench import (
     ratio_study,
     timing_study,
 )
+from lsar.exact import augmented_r
 from lsar.sampling import draw_plan, reduced_fit, sample_size
 
 from conftest import AR20_COEFFS, hat_diagonal, phi_from_partial_autocorrs
@@ -155,7 +156,7 @@ def test_criterion_4_sampled_fit_error_monte_carlo():
     series = generate_ar(ARGeneratorSpec(phi5, 1.0, 20_000, seed=4))
     design = make_design(series, 5)
     full = fit_ols(design)
-    inputs = conditioning(series, 5)
+    inputs = conditioning(augmented_r(design))
     rule = SampleSizeRule(
         SizeMode.THEORETICAL, epsilon=epsilon, delta=0.1, beta=1.0,
         constant=4.0,

@@ -330,6 +330,28 @@ class TestLsar:
         assert "NumericalError" in err
         assert "all lagged values are zero" not in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--epsilon", "1e-200"],   # epsilon^2 underflows to zero
+        ["--constant", "1e308"],   # the size overflows to inf
+        ["--beta", "1e-320"],      # so does 1 / beta
+        ["--constant", "nan"],
+    ])
+    def test_unusable_sample_size_is_data_error(self, tmp_path, capsys, flags):
+        y = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 2000, seed=3))
+        path = series_file(tmp_path, y.values)
+        code = run(["lsar", "--input", path, "--pbar", "5", *flags])
+        assert code == EXIT_DATA
+        assert "SampleSizeError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_bandwidth_multiplier_is_data_error(self, tmp_path, capsys, value):
+        y = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 2000, seed=3))
+        path = series_file(tmp_path, y.values)
+        code = run(["lsar", "--input", path, "--pbar", "5", "--fraction", "0.1",
+                    "--bandwidth-multiplier", value])
+        assert code == EXIT_DATA
+        assert "bandwidth_multiplier must be positive and finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [["lsar"], ["pacf", "--sampled"]])
     def test_uncentred_input_is_flagged(self, tmp_path, capsys, command):
         # The no-intercept model fits a +1000 offset as a near-unit root.
@@ -418,6 +440,15 @@ class TestEval:
                     "--reps", reps, "--out", str(out)])
         assert code == EXIT_DATA
         assert f"reps must be >= 1, got {reps}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonfinite_c_log_is_data_error(self, tmp_path, capsys):
+        gen = series_file(tmp_path, np.random.default_rng(2).normal(size=200).tolist())
+        out = tmp_path / "o.csv"
+        code = run(["eval", "bounds", "--input", gen, "--pbar", "3", "--c-log", "nan",
+                    "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "c_log must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_lag_study_requires_pbar(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -119,7 +120,7 @@ class TestRunLsar:
             [r.pacf_estimate for r in result.per_order_log],
         )
         np.testing.assert_allclose(
-            result.pacf.per_lag_bandwidth,
+            result.pacf.bandwidth,
             [2.0 * 1.96 / np.sqrt(r.sample_size) for r in result.per_order_log],
         )
 
@@ -168,6 +169,7 @@ class TestRunLsar:
             LsarConfig(max_order=0, size_rule=FRACTION_RULE)
         with pytest.raises(DataError):
             LsarConfig(max_order=5, size_rule=FRACTION_RULE, delta0=1.5)
-        with pytest.raises(DataError):
-            LsarConfig(max_order=5, size_rule=FRACTION_RULE,
-                       bandwidth_multiplier=0.0)
+        for multiplier in (0.0, math.nan, math.inf):
+            with pytest.raises(DataError, match="positive and finite"):
+                LsarConfig(max_order=5, size_rule=FRACTION_RULE,
+                           bandwidth_multiplier=multiplier)

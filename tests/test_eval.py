@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,13 @@ from lsar import (
     generate_ar,
     make_design,
 )
+from lsar import evalbench
 from lsar.evalbench import (
     BoundInputs,
     bound_curves,
     bound_linear_value,
     conditioning,
+    conditioning_kappa,
     contaminated_series,
     mpre,
     mpre_curve,
@@ -27,6 +31,7 @@ from lsar.evalbench import (
     uniform_plan,
     _triangular_spectrum,
 )
+from lsar.exact import augmented_r
 from lsar.recursion import fully_approx_scores
 from lsar.sampling import SamplingPlan, reduced_fit
 
@@ -89,6 +94,63 @@ class TestBoundCurves:
         with pytest.raises(DataError):
             bound_curves(ar2_series, 3, 1.5)
 
+    @pytest.mark.parametrize("c_log", [math.nan, math.inf, 0.0, -1.0])
+    def test_c_log_must_be_positive_and_finite(self, ar2_series, c_log):
+        with pytest.raises(DataError, match="c_log must be positive and finite"):
+            bound_curves(ar2_series.prefix(500), 3, 0.25, c_log)
+
+    def test_no_lags_no_rows(self, ar2_series):
+        assert bound_curves(ar2_series, 0, 0.25) == []
+
+    def test_one_factorization_per_lag(self, ar2_series, monkeypatch):
+        orders = []
+
+        def spy(design, *args):
+            orders.append(design.p)
+            return augmented_r(design, *args)
+
+        monkeypatch.setattr(evalbench, "augmented_r", spy)
+        bound_curves(ar2_series.prefix(500), 6, 0.25)
+        assert orders == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("p", [2, 5, 20])
+    def test_whole_r_of_shorter_fit_gives_kappa_p(self, ar2_series, p):
+        # The order-(p - 1) [X | y] of the first n - 1 values is the order-p
+        # design with its lag-1 column moved last.
+        r = augmented_r(make_design(ar2_series.prefix(ar2_series.n - 1), p - 1))
+        singular = np.linalg.svd(make_design(ar2_series, p).materialize(), compute_uv=False)
+        np.testing.assert_allclose(
+            conditioning_kappa(r), singular[0] / singular[-1], rtol=1e-12
+        )
+
+    def test_matches_two_qr_reference(self, ar2_series):
+        # Two factorizations per lag: a QR of the order-(p - 1) panel of the
+        # first n - 1 values for kappa, xi and eta, and a second QR of the
+        # order-p design for kappa_p.
+        epsilon, c_log = 0.25, 1.5
+        rows = bound_curves(ar2_series, 8, epsilon, c_log)
+        assert [row[0] for row in rows] == list(range(1, 9))
+        shorter = ar2_series.prefix(ar2_series.n - 1)
+        for p, linear, log_variant in rows[1:]:
+            design = make_design(shorter, p - 1)
+            r = np.linalg.qr(
+                np.column_stack([design.materialize(), design.responses]), mode="r"
+            )
+            singular = np.linalg.svd(r[: p - 1, : p - 1], compute_uv=False)
+            kappa = singular[0] / singular[-1]
+            xi = np.linalg.norm(r[: p - 1, p - 1]) / np.linalg.norm(r[:, p - 1])
+            eta = kappa * math.sqrt(xi**-2 - 1.0)
+            singular_p = np.linalg.svd(
+                np.linalg.qr(make_design(ar2_series, p).materialize(), mode="r"),
+                compute_uv=False,
+            )
+            kappa_p = singular_p[0] / singular_p[-1]
+            expected = (1.0 + 3.0 * eta * kappa_p**2) * (p - 1) * math.sqrt(epsilon)
+            np.testing.assert_allclose(linear, expected, rtol=1e-12)
+            np.testing.assert_allclose(
+                log_variant, expected / (p - 1) * c_log * math.log(p), rtol=1e-12
+            )
+
     def test_mpre_below_bound_on_fixture(self, ar2_series):
         curve = dict(mpre_curve(ar2_series, 6, FRACTION_RULE, seed=0))
         bounds = {p: b for p, b, _ in bound_curves(ar2_series, 6, 0.25)}
@@ -98,7 +160,7 @@ class TestBoundCurves:
 
 class TestConditioning:
     def test_eta_formula(self, ar2_series):
-        inputs = conditioning(ar2_series.prefix(800), 2)
+        inputs = conditioning(augmented_r(make_design(ar2_series.prefix(800), 2)))
         assert inputs.kappa >= 1.0
         assert 0 < inputs.xi <= 1.0
         np.testing.assert_allclose(

@@ -20,7 +20,7 @@ from lsar import (
     make_design,
 )
 from lsar.evalbench import conditioning, conditioning_kappa
-from lsar.exact import ARFit, FitSource, LeverageScores
+from lsar.exact import ARFit, FitSource, LeverageScores, augmented_r
 from lsar.recursion import _advance, approximate_sweep, ar1_scores
 from lsar.sampling import draw_plan, reduced_fit, sample_size
 
@@ -90,8 +90,8 @@ class TestQuasiScores:
         epsilon = 0.5
         window = ar2_series.prefix(ar2_series.n - 1)
         prev = exact_recursive_scores(window, 1)
-        prev_cond = conditioning(window, 1)
-        kappa2 = conditioning_kappa(ar2_series, 2)
+        prev_cond = conditioning(augmented_r(make_design(window, 1)))
+        kappa2 = conditioning_kappa(augmented_r(make_design(ar2_series, 2))[:2, :2])
         bound = (1 + 3 * prev_cond.eta * kappa2**2) * math.sqrt(epsilon)
         rule = SampleSizeRule(
             SizeMode.THEORETICAL, epsilon=epsilon, delta=0.1, beta=1.0,
