@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, RankDeficiencyError
-from .exact import LeverageScores, _check_rank, augmented_r, exact_leverage, fit_ols
+from .exact import LeverageScores, _check_rank, augmented_r, check_max_lag, exact_leverage, \
+    fit_ols
 from .recursion import approximate_sweep
 from .sampling import SampleSizeRule, SamplingPlan, draw_plan, make_rng, reduced_fit
 from .series import ARGeneratorSpec, TimeSeries, generate_ar, make_design
@@ -98,6 +99,7 @@ def mpre_curve(
     Exact scores are computed per lag on the same growing windows the sweep
     uses, so both sides see identical designs.
     """
+    check_max_lag(max_lag, series.n)
     rows = []
     delta_for_order = None if delta0 is None else (lambda q: delta0 / q)
     for state in approximate_sweep(series, max_lag, size_rule, seed, delta_for_order):
@@ -133,6 +135,7 @@ def bound_curves(
         raise DataError(f"epsilon must be in (0,1), got {epsilon}")
     if not 0 < c_log < math.inf:
         raise DataError(f"c_log must be positive and finite, got {c_log}")
+    check_max_lag(max_lag, series.n)
     rows = [(1, 0.0, 0.0)] if max_lag >= 1 else []
     shorter = series.prefix(series.n - 1)
     for p in range(2, max_lag + 1):
@@ -213,6 +216,7 @@ def timing_study(
     Monotonic clock, ``warmup`` discarded runs, then the median of
     ``repetitions`` runs per lag.  Row format: (p, time_exact, time_approx).
     """
+    check_max_lag(max_lag, series.n)
     exact_runs = []
     approx_runs = []
     for run in range(warmup + repetitions):

@@ -311,6 +311,15 @@ def exact_leverage(design: ARDesign) -> LeverageScores:
     return LeverageScores.from_scores(p, scores, Provenance.EXACT)
 
 
+def check_max_lag(max_lag: int, n: int):
+    """Reject lag ranges past n/2, whose longest fits keep too few rows."""
+    if max_lag > n // 2:
+        raise DataError(
+            f"max_lag {max_lag} exceeds n/2 = {n // 2}; the tail fits would "
+            "be too short to be meaningful"
+        )
+
+
 def exact_pacf(series: TimeSeries, max_lag: int) -> PacfTrace:
     """PACF trace from full-data OLS fits at each lag 1..max_lag.
 
@@ -320,11 +329,7 @@ def exact_pacf(series: TimeSeries, max_lag: int) -> PacfTrace:
     n = series.n
     if max_lag < 1:
         raise DataError(f"max_lag must be >= 1, got {max_lag}")
-    if max_lag > n // 2:
-        raise DataError(
-            f"max_lag {max_lag} exceeds n/2 = {n // 2}; the tail fits would "
-            "be too short to be meaningful"
-        )
+    check_max_lag(max_lag, n)
     estimates = np.full(max_lag, np.nan)
     for h in range(1, max_lag + 1):
         try:

@@ -137,9 +137,11 @@ def sample_size(rule: SampleSizeRule, p: int, n: int, delta: float | None = None
             )
             s = m_rows
         else:
+            # ln(p / delta) is infinite only when p / delta overflows.
+            cause = "delta" if math.log(p / delta) == math.inf else "epsilon"
             raise SampleSizeError(
                 f"theoretical sample size {s} exceeds row count {m_rows}; "
-                "epsilon is too small for this data size"
+                f"{cause} is too small for this data size"
             )
     return s
 

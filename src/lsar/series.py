@@ -14,6 +14,7 @@ matrix-matrix (BLAS-3) speed for every order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,8 +185,8 @@ class ARGeneratorSpec:
     def __post_init__(self):
         phi = np.atleast_1d(np.asarray(self.coefficients, dtype=np.float64))
         object.__setattr__(self, "coefficients", phi)
-        if self.noise_std <= 0:
-            raise DataError(f"noise_std must be positive, got {self.noise_std}")
+        if not 0 < self.noise_std < math.inf:
+            raise DataError(f"noise_std must be positive and finite, got {self.noise_std}")
         if self.n < 2:
             raise DataError(f"series length must be >= 2, got {self.n}")
         if self.burn_in is not None and self.burn_in < 0:

@@ -52,6 +52,15 @@ class TestGenerate:
         assert code == EXIT_NUMERICAL
         assert "DivergenceError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_nonfinite_sigma_is_data_error(self, tmp_path, capsys, sigma):
+        out = tmp_path / "x.csv"
+        code = run(["generate", "--phi", "0.5", "--n", "100", "--sigma", sigma,
+                    "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "DataError noise_std must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestIngest:
     def test_log_diff_matches_core_op(self, tmp_path, capsys):
@@ -456,6 +465,22 @@ class TestEval:
         code = run(["eval", "mpre", "--input", gen,
                     "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("study", ["mpre", "bounds", "timing"])
+    def test_lags_past_half_the_series_are_data_error(self, tmp_path, capsys, study):
+        gen = series_file(tmp_path, np.random.default_rng(2).normal(size=3000).tolist())
+        out = tmp_path / "o.csv"
+        code = run(["eval", study, "--input", gen, "--pbar", "2000", "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "max_lag 2000 exceeds n/2 = 1500" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_delta_is_blamed(self, tmp_path, capsys):
+        gen = series_file(tmp_path, np.random.default_rng(2).normal(size=3000).tolist())
+        code = run(["eval", "mpre", "--input", gen, "--pbar", "3", "--beta", "1",
+                    "--delta0", "1e-320", "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_DATA
+        assert "delta is too small for this data size" in capsys.readouterr().err
 
 
 class TestAtomicWrites:

@@ -151,8 +151,13 @@ class TestSampleSize:
         rule = SampleSizeRule(
             SizeMode.THEORETICAL, epsilon=0.01, delta=0.1, beta=1.0
         )
-        with pytest.raises(SampleSizeError):
+        with pytest.raises(SampleSizeError, match="epsilon is too small"):
             sample_size(rule, 10, 200)
+
+    def test_overflowing_log_blames_delta(self):
+        rule = SampleSizeRule(SizeMode.THEORETICAL, epsilon=0.5, beta=1.0)
+        with pytest.raises(SampleSizeError, match="delta is too small"):
+            sample_size(rule, 3, 3000, delta=1e-320)
 
     def test_invalid_parameters(self):
         with pytest.raises(SampleSizeError):

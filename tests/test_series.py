@@ -267,6 +267,11 @@ class TestGenerateAr:
         with pytest.raises(DataError):
             ARGeneratorSpec(np.array([0.5]), 0.0, 100, seed=0)
 
+    @pytest.mark.parametrize("noise_std", [math.nan, math.inf])
+    def test_nonfinite_noise_std(self, noise_std):
+        with pytest.raises(DataError, match="noise_std must be positive and finite"):
+            ARGeneratorSpec(np.array([0.5]), noise_std, 100, seed=0)
+
     def test_burn_in_default(self):
         spec = ARGeneratorSpec(np.array([0.5, 0.1]), 1.0, 100, seed=0)
         assert spec.effective_burn_in == 10 * 2 + 1000
