@@ -49,6 +49,13 @@ SCAN_ONLY_CHARS = "#\x1c\x1d\x1e\x1f"
 # Values formatted per chunk by ``write_series``: about 0.4 MB of text and
 # 4 MB of working arrays.
 WRITE_CHUNK = 2**14
+# ``write_series`` puts a binary copy of the values next to the text, in
+# ``<path>.lsarbin``: 8 bytes of magic and version, the SHA-256 of the text's
+# bytes followed by the payload, then the payload, little-endian float64.
+SIDECAR_SUFFIX = ".lsarbin"
+SIDECAR_MAGIC = b"LSARF64\x01"
+# Bytes of text hashed per read when a sidecar is checked.
+HASH_CHUNK = 1 << 20
 
 
 def read_series(path: str, column: str | None = None, delimiter: str = ",",
@@ -60,12 +67,19 @@ def read_series(path: str, column: str | None = None, delimiter: str = ",",
     and ``ingest``.  Blank lines and lines starting with ``#`` are skipped.
     The column is parsed by numpy's C reader; a file that reader rejects, or
     might read differently, is parsed line by line, which names the first
-    bad row.
+    bad row.  A UTF-8 byte-order mark is dropped.
+
+    With the default arguments a file whose sidecar (see ``write_series``)
+    matches its bytes is not parsed: the sidecar holds the same values.
     """
+    if column is None and delimiter == "," and has_header is None:
+        values = _read_sidecar(path)
+        if values is not None:
+            return TimeSeries(values)
     if not delimiter:
         raise IngestError("the delimiter must not be empty")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for skipped, first in enumerate(fh):
                 if first.strip() and not first.startswith("#"):
                     break
@@ -103,7 +117,8 @@ def read_series(path: str, column: str | None = None, delimiter: str = ",",
                 # A file without data rows reads as empty; TimeSeries rejects it.
                 warnings.simplefilter("ignore", UserWarning)
                 values = np.loadtxt(path, delimiter=delimiter, comments=None,
-                                    usecols=col_idx, skiprows=skipped, ndmin=1)
+                                    usecols=col_idx, skiprows=skipped, ndmin=1,
+                                    encoding="utf-8-sig")
         except (ValueError, OverflowError, OSError):
             pass
     if values is None:
@@ -117,7 +132,7 @@ def read_series(path: str, column: str | None = None, delimiter: str = ",",
 def _scan_column(path: str, col_idx: int, delimiter: str, has_header: bool) -> np.ndarray:
     """Parse column ``col_idx`` line by line; errors name the data row."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     except (OSError, UnicodeDecodeError) as err:
         raise IngestError(f"cannot read {path}: {err}") from err
@@ -136,6 +151,30 @@ def _scan_column(path: str, col_idx: int, delimiter: str, has_header: bool) -> n
     return values
 
 
+def _read_sidecar(path: str) -> np.ndarray | None:
+    """The values of ``path``'s sidecar, or None unless its digest matches
+    the bytes of ``path`` followed by the payload."""
+    try:
+        with open(path + SIDECAR_SUFFIX, "rb") as fh:
+            head = fh.read(len(SIDECAR_MAGIC) + 32)
+            if not head.startswith(SIDECAR_MAGIC):
+                return None
+            values = np.fromfile(fh, dtype="<f8")
+            if fh.read(1):  # a partial value at the end
+                return None
+        import hashlib
+
+        digest = hashlib.sha256()
+        buffer = memoryview(bytearray(HASH_CHUNK))
+        with open(path, "rb") as fh:
+            while size := fh.readinto(buffer):
+                digest.update(buffer[:size])
+        digest.update(values)
+    except OSError:
+        return None
+    return values if digest.digest() == head[len(SIDECAR_MAGIC):] else None
+
+
 def _is_number(token: str) -> bool:
     try:
         float(token)
@@ -145,19 +184,36 @@ def _is_number(token: str) -> bool:
 
 
 def write_series(path: str, series: TimeSeries):
-    """Single-column ``y`` report without metadata.
+    """Single-column ``y`` report without metadata, and its sidecar.
 
     Values are formatted ``WRITE_CHUNK`` at a time by ``report.float_lines``,
-    so the text of the whole column never exists at once.
+    so the text of the whole column never exists at once.  The sidecar
+    (``SIDECAR_SUFFIX``) is best-effort: if it cannot be written, the text
+    alone holds the series and ``read_series`` parses it.
     """
+    import hashlib
+
     values = series.values
+    digest = hashlib.sha256()
 
     def chunks():
-        yield "y\n"
+        yield b"y\n"
         for start in range(0, values.size, WRITE_CHUNK):
-            yield report.float_lines(values[start: start + WRITE_CHUNK])
+            yield report.float_lines(values[start: start + WRITE_CHUNK]).encode()
 
-    report._atomic_write(path, chunks())
+    def hashed(chunks):
+        for chunk in chunks:
+            digest.update(chunk)
+            yield chunk
+
+    report._atomic_write(path, hashed(chunks()), binary=True)
+    payload = np.ascontiguousarray(values, dtype="<f8")
+    digest.update(payload)
+    try:
+        report._atomic_write(path + SIDECAR_SUFFIX, [SIDECAR_MAGIC, digest.digest(), payload],
+                             binary=True)
+    except OSError:
+        pass
 
 
 def runtime_metadata() -> dict:

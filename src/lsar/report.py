@@ -139,13 +139,20 @@ def float_lines(values: np.ndarray) -> str:
     return planes.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _atomic_write(path: str, chunks: Iterable[str]):
-    """Write the concatenated ``chunks`` to ``path`` through a renamed
-    temporary sibling."""
+def _atomic_write(path: str, chunks: Iterable[str | bytes], binary: bool = False):
+    """Write the concatenated ``chunks`` (``bytes`` when ``binary``) to
+    ``path`` through a renamed temporary sibling.
+
+    The file gets the mode ``open(path, "w")`` would create it with, not
+    ``mkstemp``'s 0600, which the rename would keep.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb" if binary else "w") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

@@ -111,7 +111,7 @@ class TestIngest:
 
 def line_scan_read_series(path, column=None, delimiter=",", has_header=None):
     """Reference semantics of ``read_series``: every line parsed in Python."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise IngestError(f"{path} contains no data rows")
@@ -228,6 +228,16 @@ class TestReadSeries:
         with pytest.raises(IngestError, match="cannot read"):
             read_series(str(path))
 
+    @pytest.mark.parametrize("text, expected", [
+        ("1.5\n2.5\n3.5\n4.5\n", [1.5, 2.5, 3.5, 4.5]),
+        ("y\n1.5\n2.5\n", [1.5, 2.5]),
+        ("1.5\n# scanned line by line\n2.5\n", [1.5, 2.5]),
+    ])
+    def test_byte_order_mark_is_dropped(self, tmp_path, text, expected):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        np.testing.assert_array_equal(read_series(str(path)).values, expected)
+
     def test_cli_import_leaves_out_scipy_signal(self):
         code = "import sys, lsar.cli; print('scipy.signal' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -269,7 +279,7 @@ class TestReadSeries:
         assert out.splitlines()[-1] == "0 False True"
 
     def test_cli_import_leaves_out_hashlib(self):
-        # Only the audit checksum, which no command reads, uses hashlib.
+        # The series sidecar and the audit checksum import hashlib when used.
         code = "import sys, lsar.cli; print('hashlib' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -491,6 +501,19 @@ class TestAtomicWrites:
         leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_files_get_the_umask_mode(self, tmp_path, umask, mode):
+        gen = tmp_path / "g.csv"
+        old = os.umask(umask)
+        try:
+            assert run(["generate", "--phi", "0.5", "--n", "100", "--out", str(gen)]) == 0
+            assert run(["eval", "ratios", "--input", str(gen), "--p", "1", "--sizes", "20",
+                        "--reps", "2", "--out", str(tmp_path / "r.csv")]) == 0
+        finally:
+            os.umask(old)
+        for name in ("g.csv", "g.csv" + cli.SIDECAR_SUFFIX, "r.csv", "r.txt"):
+            assert os.stat(tmp_path / name).st_mode & 0o777 == mode, name
+
 
 class TestWriteSeries:
     def test_bytes_match_csv_report_path(self, tmp_path):
@@ -526,6 +549,112 @@ class TestWriteSeries:
         finally:
             tracemalloc.stop()
         assert peak < 8e6, peak
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+)
+
+
+def forge_sidecar(path, values):
+    """A sidecar for the text at ``path`` that holds ``values`` instead."""
+    import hashlib
+
+    payload = np.asarray(values, dtype="<f8").tobytes()
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read() + payload).digest()
+    with open(path + cli.SIDECAR_SUFFIX, "wb") as fh:
+        fh.write(cli.SIDECAR_MAGIC + digest + payload)
+
+
+class TestSidecar:
+    @given(values=st.lists(FINITE, min_size=2, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_with_and_without_sidecar(self, tmp_path_factory, values):
+        path = str(tmp_path_factory.getbasetemp() / "round.csv")
+        expected = np.array(values, dtype=float).tobytes()
+        write_series(path, TimeSeries(np.array(values)))
+        assert cli._read_sidecar(path).tobytes() == expected
+        assert read_series(path).values.tobytes() == expected
+        os.unlink(path + cli.SIDECAR_SUFFIX)
+        assert read_series(path).values.tobytes() == expected
+
+    def test_layout(self, tmp_path):
+        path = series_file(tmp_path, [1.5, -2.0, 3.25])
+        with open(path + cli.SIDECAR_SUFFIX, "rb") as fh:
+            data = fh.read()
+        assert data[:8] == cli.SIDECAR_MAGIC and len(data) == 8 + 32 + 3 * 8
+        assert np.frombuffer(data[40:], dtype="<f8").tolist() == [1.5, -2.0, 3.25]
+
+    def test_edited_text_wins(self, tmp_path):
+        path = series_file(tmp_path, [1.5, 2.5, 3.5])
+        with open(path, "r+b") as fh:
+            text = fh.read()
+            fh.seek(0)
+            fh.write(text.replace(b"2.5", b"2.7"))
+        assert cli._read_sidecar(path) is None
+        np.testing.assert_array_equal(read_series(path).values, [1.5, 2.7, 3.5])
+
+    @pytest.mark.parametrize("damage", ["empty", "short head", "cut value", "extra byte",
+                                        "flipped payload", "wrong magic", "garbage"])
+    def test_damaged_sidecar_is_ignored(self, tmp_path, damage):
+        values = [1.5, 2.5, 3.5, 4.5]
+        path = series_file(tmp_path, values)
+        sidecar = path + cli.SIDECAR_SUFFIX
+        with open(sidecar, "rb") as fh:
+            data = bytearray(fh.read())
+        if damage == "empty":
+            data = b""
+        elif damage == "short head":
+            data = data[:20]
+        elif damage == "cut value":
+            data = data[:-3]
+        elif damage == "extra byte":
+            data += b"\0"
+        elif damage == "flipped payload":
+            data[-1] ^= 1
+        elif damage == "wrong magic":
+            data[7] ^= 1
+        else:
+            data = np.random.default_rng(0).bytes(len(data))
+        with open(sidecar, "wb") as fh:
+            fh.write(data)
+        assert cli._read_sidecar(path) is None
+        np.testing.assert_array_equal(read_series(path).values, values)
+
+    @pytest.mark.parametrize("kwargs", [{"column": "y"}, {"column": "0"}, {"delimiter": ";"},
+                                        {"has_header": True}])
+    def test_non_default_reads_parse_the_text(self, tmp_path, kwargs):
+        path = series_file(tmp_path, [1.5, 2.5, 3.5])
+        forge_sidecar(path, [7.0, 8.0, 9.0])
+        np.testing.assert_array_equal(read_series(path).values, [7.0, 8.0, 9.0])
+        np.testing.assert_array_equal(read_series(path, **kwargs).values, [1.5, 2.5, 3.5])
+
+    def test_unwritable_sidecar_leaves_the_csv(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("t,close\n0,1.0\n1,1.5\n2,1.2\n3,1.4\n")
+        out = tmp_path / "o.csv"
+        os.mkdir(str(out) + cli.SIDECAR_SUFFIX)
+        assert run(["ingest", "--input", str(raw), "--column", "close",
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == b"y\n1\n1.5\n1.2\n1.3999999999999999\n"
+        assert os.path.isdir(str(out) + cli.SIDECAR_SUFFIX)
+        assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
+        np.testing.assert_array_equal(read_series(str(out)).values, [1.0, 1.5, 1.2, 1.4])
+
+    @pytest.mark.parametrize("command", [["lsar"], ["pacf", "--sampled"]])
+    def test_report_body_same_without_sidecar(self, tmp_path, command):
+        gen = tmp_path / "y.csv"
+        assert run(["generate", "--phi", "0.5", "-0.3", "--n", "5000", "--seed", "4",
+                    "--out", str(gen)]) == 0
+        args = [*command, "--input", str(gen), "--pbar", "6", "--fraction", "0.05",
+                "--seed", "1"]
+        assert run(args + ["--out", str(tmp_path / "a.csv")]) == 0
+        os.unlink(str(gen) + cli.SIDECAR_SUFFIX)
+        assert run(args + ["--out", str(tmp_path / "b.csv")]) == 0
+        assert body_lines(tmp_path / "a.csv") == body_lines(tmp_path / "b.csv")
 
 
 class TestBlasThreads:
