@@ -40,13 +40,7 @@ from .exact import (
     fit_ols,
     select_order,
 )
-from .recursion import (
-    RecursionState,
-    approximate_sweep,
-    ar1_scores,
-    exact_recursive_scores,
-    fully_approx_scores,
-)
+from .recursion import RecursionState, approximate_sweep, ar1_scores
 from .sampling import (
     RNG_NAME,
     SampleSizeRule,

@@ -212,7 +212,7 @@ def write_series(path: str, series: TimeSeries):
     try:
         report._atomic_write(path + SIDECAR_SUFFIX, [SIDECAR_MAGIC, digest.digest(), payload],
                              binary=True)
-    except OSError:
+    except DataError:
         pass
 
 
@@ -350,7 +350,6 @@ def cmd_pacf(args) -> int:
         cfg = LsarConfig(
             max_order=args.pbar,
             size_rule=_size_rule(args),
-            delta0=args.delta0,
             bandwidth_multiplier=args.bandwidth_multiplier,
             seed=args.seed,
         )
@@ -377,7 +376,6 @@ def cmd_lsar(args) -> int:
     cfg = LsarConfig(
         max_order=args.pbar,
         size_rule=_size_rule(args),
-        delta0=args.delta0,
         bandwidth_multiplier=args.bandwidth_multiplier,
         seed=args.seed,
         delta_mode=DeltaMode(args.delta_mode),
@@ -428,8 +426,7 @@ def cmd_eval(args) -> int:
             raise DataError(f"eval {args.study} needs --pbar")
         lag_rows = {p: [float("nan")] * 5 for p in range(1, args.pbar + 1)}
         if args.study == "mpre":
-            for p, value in evalbench.mpre_curve(series, args.pbar, rule, args.seed,
-                                                 delta0=args.delta0):
+            for p, value in evalbench.mpre_curve(series, args.pbar, rule, args.seed):
                 lag_rows[p][0] = value
         elif args.study == "bounds":
             for p, linear, logv in evalbench.bound_curves(series, args.pbar,

@@ -29,7 +29,8 @@ from .series import TimeSeries, make_design
 
 
 class DeltaMode(enum.Enum):
-    """How the per-iteration failure probability derives from delta0."""
+    """How the per-iteration failure probability derives from delta0, the
+    size rule's ``delta``."""
 
     PER_ORDER = "per_order"    # delta = delta0 / p at iteration p
     GEOMETRIC = "geometric"    # constant delta = 1 - (1 - delta0)**(1/max_order)
@@ -39,7 +40,6 @@ class DeltaMode(enum.Enum):
 class LsarConfig:
     max_order: int
     size_rule: SampleSizeRule
-    delta0: float = 0.1
     bandwidth_multiplier: float = 1.0
     seed: int = 0
     delta_mode: DeltaMode = DeltaMode.PER_ORDER
@@ -48,8 +48,6 @@ class LsarConfig:
     def __post_init__(self):
         if self.max_order < 1:
             raise DataError(f"max_order must be >= 1, got {self.max_order}")
-        if not 0 < self.delta0 < 1:
-            raise DataError(f"delta0 must be in (0,1), got {self.delta0}")
         if not 0 < self.bandwidth_multiplier < math.inf:
             raise DataError("bandwidth_multiplier must be positive and finite, "
                             f"got {self.bandwidth_multiplier}")
@@ -83,10 +81,11 @@ class LsarResult:
 
 
 def _delta_schedule(cfg: LsarConfig):
+    """The geometric schedule; None leaves the sweep's delta0 / p."""
     if cfg.delta_mode is DeltaMode.GEOMETRIC:
-        per_iter = 1.0 - (1.0 - cfg.delta0) ** (1.0 / cfg.max_order)
+        per_iter = 1.0 - (1.0 - cfg.size_rule.delta) ** (1.0 / cfg.max_order)
         return lambda q: per_iter
-    return lambda q: cfg.delta0 / q
+    return None
 
 
 def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:

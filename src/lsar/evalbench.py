@@ -22,7 +22,7 @@ from .exact import LeverageScores, _check_rank, augmented_r, check_max_lag, exac
     fit_ols
 from .recursion import approximate_sweep
 from .sampling import SampleSizeRule, SamplingPlan, draw_plan, make_rng, reduced_fit
-from .series import ARGeneratorSpec, TimeSeries, generate_ar, make_design
+from .series import TimeSeries, make_design
 
 LAG_HEADER = ("p", "mpre", "bound_linear", "bound_log", "time_exact", "time_approx")
 SIZE_HEADER = ("s", "scheme", "rel_param_err", "resid_ratio", "excluded")
@@ -92,7 +92,6 @@ def mpre_curve(
     max_lag: int,
     size_rule: SampleSizeRule,
     seed: int,
-    delta0: float | None = None,
 ) -> list[tuple[int, float]]:
     """Observed MPRE per lag from one fully-approximate sweep.
 
@@ -101,8 +100,7 @@ def mpre_curve(
     """
     check_max_lag(max_lag, series.n)
     rows = []
-    delta_for_order = None if delta0 is None else (lambda q: delta0 / q)
-    for state in approximate_sweep(series, max_lag, size_rule, seed, delta_for_order):
+    for state in approximate_sweep(series, max_lag, size_rule, seed):
         window = series.prefix(state.window)
         exact = exact_leverage(make_design(window, state.p))
         rows.append((state.p, mpre(exact, state.scores)))
@@ -241,23 +239,3 @@ def timing_study(
         (p, float(exact_median[p - 1]), float(approx_median[p - 1]))
         for p in range(1, max_lag + 1)
     ]
-
-
-def contaminated_series(
-    base: ARGeneratorSpec,
-    contamination_rate: float = 0.001,
-    factor: float = 50.0,
-) -> TimeSeries:
-    """AR base series with a sprinkle of amplified points.
-
-    Multiplying a small fraction of observations by a large factor creates
-    high-leverage rows, the regime where score-proportional sampling should
-    beat the uniform baseline.
-    """
-    clean = generate_ar(base)
-    rng = make_rng(base.seed, 0xC0)
-    count = max(1, int(round(contamination_rate * clean.n)))
-    idx = rng.choice(clean.n, size=count, replace=False)
-    values = clean.values.copy()
-    values[idx] *= factor
-    return TimeSeries(values)

@@ -27,7 +27,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 
@@ -87,17 +86,6 @@ class LeverageScores:
 
     def __post_init__(self):
         self.scores.setflags(write=False)
-
-    @cached_property
-    def distribution(self) -> np.ndarray:
-        """The sampling distribution ``scores / total``, formed when first read.
-
-        The sweep never reads it (`draw_plan` works from ``scores`` and
-        ``total``), so no order pays for a second O(n) array.
-        """
-        pi = self.scores / self.total
-        pi.setflags(write=False)
-        return pi
 
     @classmethod
     def from_scores(cls, order, scores, provenance, clamp_count=0):

@@ -39,7 +39,7 @@ ZERO_RESIDUAL_RTOL = 1e-14
 class RecursionState:
     """Carried state of one recursion sweep after finishing order ``p``.
 
-    ``residuals`` come from the order-p fit on the current window and are
+    The residuals of ``fit``, the order-p fit on the current window, are
     what advances the scores to order p + 1 on a window one longer.
     """
 
@@ -48,14 +48,6 @@ class RecursionState:
     fit: ARFit
     window: int
     sample_size: int
-
-    @property
-    def residuals(self) -> np.ndarray:
-        return self.fit.residuals
-
-    @property
-    def residual_norm2(self) -> float:
-        return self.fit.residual_norm**2
 
 
 def ar1_scores(series: TimeSeries) -> LeverageScores:
@@ -118,10 +110,11 @@ def approximate_sweep(
 
     Without ``size_rule`` every fit uses all rows of the design, so the
     scores are exact.  With one, every fit is a reduced solve on rows drawn
-    from the current scores.  The per-order failure probability is
-    ``delta_for_order(q)`` when that callable is given, otherwise the rule's
-    own delta.  A rank-deficient reduced system is resampled once with a
-    fresh seed offset before erroring.  Deterministic given ``seed``.
+    from the current scores.  The failure probability at order q is
+    ``delta_for_order(q)`` when that callable is given, else
+    ``size_rule.delta / q``.  A rank-deficient reduced system is resampled
+    once with a fresh seed offset before erroring.  Deterministic given
+    ``seed``.
     """
     n = series.n
     if target_order < 1 or n - target_order < 1:
@@ -149,7 +142,7 @@ def approximate_sweep(
             s = design.row_count
             fit = fit_ols(design)
         else:
-            delta = None if delta_for_order is None else delta_for_order(q)
+            delta = size_rule.delta / q if delta_for_order is None else delta_for_order(q)
             s = sample_size(size_rule, q, window.n, delta=delta)
             fit = _reduced_fit_with_retry(design, scores, s, seed, q)
         yield RecursionState(p=q, scores=scores, fit=fit, window=window.n, sample_size=s)
@@ -166,38 +159,3 @@ def _reduced_fit_with_retry(design, scores, s, seed, q):
             if attempt == 1:
                 raise
     raise AssertionError("unreachable")
-
-
-def _last_state(sweep: Iterator[RecursionState]) -> RecursionState:
-    for state in sweep:
-        pass
-    return state
-
-
-def exact_recursive_scores(series: TimeSeries, p: int) -> LeverageScores:
-    """Exact leverage scores at order ``p``: the last scores of the sweep
-    with full-data fits, which match the hat-matrix diagonal of the order-p
-    design."""
-    n = series.n
-    if p < 1 or n - p < p:
-        raise DataError(f"order p={p} needs n - p >= p, got n={n}")
-    return _last_state(approximate_sweep(series, p)).scores
-
-
-def fully_approx_scores(
-    series: TimeSeries,
-    p: int,
-    size_rule: SampleSizeRule,
-    seed: int,
-    delta0: float | None = None,
-) -> RecursionState:
-    """Final state of the fully-approximate sweep to order ``p``, with the
-    per-order failure probability ``delta0 / q`` when ``delta0`` is given.
-
-    Order 1 is exact, order 2 uses the sampled increment on top of exact
-    order-1 scores, and orders >= 3 recurse on previously approximated
-    scores.  The state holds the scores at order p plus the order-p reduced
-    fit whose residuals would advance the recursion further.
-    """
-    delta_for_order = None if delta0 is None else (lambda q: delta0 / q)
-    return _last_state(approximate_sweep(series, p, size_rule, seed, delta_for_order))

@@ -22,6 +22,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .errors import DataError
+
 FLOAT_FORMAT = "%.17g"
 
 # ``float_lines`` prints 1e-6 <= |v| < 1e17 from integers: the 17 digits of
@@ -144,20 +146,24 @@ def _atomic_write(path: str, chunks: Iterable[str | bytes], binary: bool = False
     ``path`` through a renamed temporary sibling.
 
     The file gets the mode ``open(path, "w")`` would create it with, not
-    ``mkstemp``'s 0600, which the rename would keep.
+    ``mkstemp``'s 0600, which the rename would keep.  An ``OSError`` is
+    raised as a ``DataError`` that names ``path``, not the temporary file.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
         with os.fdopen(fd, "wb" if binary else "w") as fh:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as err:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(err, OSError):
+            raise DataError(f"cannot write {path}: {err.strerror or err}") from err
         raise
 
 

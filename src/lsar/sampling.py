@@ -58,11 +58,6 @@ class SamplingPlan:
     def size(self) -> int:
         return self.indices.size
 
-    @classmethod
-    def identity(cls, m_rows: int) -> "SamplingPlan":
-        """Every row exactly once with unit weight (S = I up to scaling)."""
-        return cls(np.arange(m_rows, dtype=np.int64), np.ones(m_rows))
-
 
 class SizeMode(enum.Enum):
     THEORETICAL = "theoretical"
@@ -109,10 +104,9 @@ class SampleSizeRule:
 def sample_size(rule: SampleSizeRule, p: int, n: int, delta: float | None = None) -> int:
     """Sample size at order ``p`` for a series of length ``n``.
 
-    ``delta`` overrides the rule's failure probability (the driver passes
-    delta0/p per iteration).  In fraction mode an oversized s is clamped to
-    the row count with a warning; in theoretical mode it is an error, since
-    it signals a misconfigured epsilon.
+    ``delta`` overrides the rule's failure probability.  In fraction mode an
+    oversized s is clamped to the row count with a warning; in theoretical
+    mode it is an error, since it signals a misconfigured epsilon.
     """
     if delta is None:
         delta = rule.delta

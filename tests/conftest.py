@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lsar import ARGeneratorSpec, TimeSeries, generate_ar
+from lsar import ARGeneratorSpec, TimeSeries, generate_ar, make_rng
 
 
 def phi_from_partial_autocorrs(ks):
@@ -26,6 +26,26 @@ AR20_PARTIALS = [0.5, -0.4, 0.3, -0.25, 0.2, -0.15, 0.12, -0.1, 0.1, -0.08,
 AR20_COEFFS = phi_from_partial_autocorrs(AR20_PARTIALS)
 
 AR5_COEFFS = np.array([0.5, -0.3, 0.2, -0.1, 0.1])
+
+
+def contaminated_series(
+    base: ARGeneratorSpec,
+    contamination_rate: float = 0.001,
+    factor: float = 50.0,
+) -> TimeSeries:
+    """AR base series with a sprinkle of amplified points.
+
+    Multiplying a small fraction of observations by a large factor creates
+    high-leverage rows, the regime where score-proportional sampling should
+    beat the uniform baseline.
+    """
+    clean = generate_ar(base)
+    rng = make_rng(base.seed, 0xC0)
+    count = max(1, int(round(contamination_rate * clean.n)))
+    idx = rng.choice(clean.n, size=count, replace=False)
+    values = clean.values.copy()
+    values[idx] *= factor
+    return TimeSeries(values)
 
 
 def hat_diagonal(x: np.ndarray) -> np.ndarray:

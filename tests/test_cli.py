@@ -501,6 +501,19 @@ class TestAtomicWrites:
         leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("command", [["generate", "--phi", "0.5", "--n", "100"],
+                                         ["fit", "--p", "2"]], ids=["generate", "fit"])
+    def test_missing_directory_is_data_error(self, tmp_path, capsys, command):
+        if command[0] == "fit":
+            command = command + ["--input", series_file(tmp_path, [1.0, 2.0, 0.5, 1.5])]
+        out = str(tmp_path / "missing" / "x.csv")
+        assert run(command + ["--out", out]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"lsar: error=DataError cannot write {out}: No such file or directory"]
+        leftovers = [f for _, _, files in os.walk(tmp_path) for f in files
+                     if f.startswith(".report-")]
+        assert leftovers == []
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_files_get_the_umask_mode(self, tmp_path, umask, mode):
         gen = tmp_path / "g.csv"

@@ -130,8 +130,7 @@ class TestRunLsar:
                          bandwidth_multiplier=2.0)
         result = run_lsar(y, cfg)
         assert result.selected_order >= 1
-        sweep = list(approximate_sweep(y, cfg.max_order, cfg.size_rule, cfg.seed,
-                                       lambda q: cfg.delta0 / q))
+        sweep = list(approximate_sweep(y, cfg.max_order, cfg.size_rule, cfg.seed))
         own = sweep[result.selected_order - 1].fit
         assert result.final_fit.source is FitSource.SAMPLED
         assert result.final_fit.order == own.order
@@ -167,8 +166,8 @@ class TestRunLsar:
     def test_config_validation(self):
         with pytest.raises(DataError):
             LsarConfig(max_order=0, size_rule=FRACTION_RULE)
-        with pytest.raises(DataError):
-            LsarConfig(max_order=5, size_rule=FRACTION_RULE, delta0=1.5)
+        with pytest.raises(DataError, match="delta must be in"):
+            SampleSizeRule(SizeMode.FRACTION, delta=1.5, fraction=0.05)
         for multiplier in (0.0, math.nan, math.inf):
             with pytest.raises(DataError, match="positive and finite"):
                 LsarConfig(max_order=5, size_rule=FRACTION_RULE,

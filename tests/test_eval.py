@@ -7,14 +7,17 @@ from lsar import (
     ARGeneratorSpec,
     DataError,
     LeverageScores,
+    LsarConfig,
     Provenance,
     RankDeficiencyError,
     SampleSizeRule,
     SizeMode,
     TimeSeries,
+    approximate_sweep,
     exact_leverage,
     generate_ar,
     make_design,
+    run_lsar,
 )
 from lsar import evalbench
 from lsar.evalbench import (
@@ -23,7 +26,6 @@ from lsar.evalbench import (
     bound_linear_value,
     conditioning,
     conditioning_kappa,
-    contaminated_series,
     mpre,
     mpre_curve,
     ratio_study,
@@ -32,8 +34,9 @@ from lsar.evalbench import (
     _triangular_spectrum,
 )
 from lsar.exact import augmented_r
-from lsar.recursion import fully_approx_scores
 from lsar.sampling import SamplingPlan, reduced_fit
+
+from conftest import contaminated_series
 
 FRACTION_RULE = SampleSizeRule(SizeMode.FRACTION, fraction=0.05)
 
@@ -203,7 +206,8 @@ class TestConditioning:
 class TestRatioStudy:
     def test_identity_plan_degenerate_check(self, ar2_series):
         design = make_design(ar2_series, 2)
-        fit = reduced_fit(design, SamplingPlan.identity(design.row_count))
+        m = design.row_count
+        fit = reduced_fit(design, SamplingPlan(np.arange(m), np.ones(m)))
         from lsar import fit_ols
 
         full = fit_ols(design)
@@ -248,6 +252,29 @@ class TestTimingStudy:
         assert [r[0] for r in rows] == [1, 2, 3, 4]
         for _, t_exact, t_approx in rows:
             assert t_exact >= 0.0 and t_approx >= 0.0
+
+
+class TestDeltaSchedule:
+    def test_lsar_mpre_and_timing_draw_the_same_sizes(self, monkeypatch):
+        # Under the theoretical rule s depends on the per-order failure
+        # probability, so equal sizes mean one schedule, delta0 / q.
+        y = generate_ar(ARGeneratorSpec(np.array([0.5]), 1.0, 3000, seed=2))
+        rule = SampleSizeRule(SizeMode.THEORETICAL, epsilon=0.5, delta=0.1, beta=1.0)
+        log = run_lsar(y, LsarConfig(max_order=5, size_rule=rule)).per_order_log
+        expected = [r.sample_size for r in log]
+        sweeps = []
+
+        def recording(*args, **kwargs):
+            sizes = []
+            sweeps.append(sizes)
+            for state in approximate_sweep(*args, **kwargs):
+                sizes.append(state.sample_size)
+                yield state
+
+        monkeypatch.setattr(evalbench, "approximate_sweep", recording)
+        mpre_curve(y, 5, rule, seed=0)
+        timing_study(y, 5, rule, seed=0, repetitions=1, warmup=0)
+        assert sweeps == [expected, expected]
 
 
 class TestContaminatedSeries:

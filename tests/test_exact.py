@@ -345,7 +345,7 @@ class TestExactLeverage:
             assert abs(scores.scores.sum() - p) < 1e-8
             assert scores.scores.min() >= 0.0
             assert scores.scores.max() <= 1.0 + 1e-12
-            assert abs(scores.distribution.sum() - 1.0) < 1e-12
+            assert abs((scores.scores / scores.total).sum() - 1.0) < 1e-12
 
     def test_matches_hat_matrix_oracle(self):
         rng = np.random.default_rng(30)

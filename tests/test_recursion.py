@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,8 +15,6 @@ from lsar import (
     TimeSeries,
     ZeroResidualError,
     exact_leverage,
-    exact_recursive_scores,
-    fully_approx_scores,
     generate_ar,
     make_design,
 )
@@ -32,49 +31,50 @@ SCALE_SERIES = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 2000, see
 
 class TestExactRecursion:
     def test_base_case(self):
-        scores = exact_recursive_scores(TimeSeries(np.array([1.0, 2, 3])), 1)
+        *_, state = approximate_sweep(TimeSeries(np.array([1.0, 2, 3])), 1)
+        scores = state.scores
         np.testing.assert_allclose(scores.scores, [0.2, 0.8], atol=1e-14)
         assert scores.provenance is Provenance.EXACT
 
     def test_two_by_two_against_hat_oracle(self):
         series = TimeSeries(np.array([1.0, 2, 1, 3]))
-        scores = exact_recursive_scores(series, 2)
+        *_, state = approximate_sweep(series, 2)
         oracle = hat_diagonal(make_design(series, 2).materialize())
-        np.testing.assert_allclose(scores.scores, oracle, atol=1e-10)
+        np.testing.assert_allclose(state.scores.scores, oracle, atol=1e-10)
 
     def test_oracle_sweep(self, ar1_series):
         # The module's primary check: the recursion reproduces the hat-matrix
         # diagonal at every order.
         for p in range(1, 11):
-            recursive = exact_recursive_scores(ar1_series, p)
+            *_, recursive = approximate_sweep(ar1_series, p)
             direct = exact_leverage(make_design(ar1_series, p))
             np.testing.assert_allclose(
-                recursive.scores, direct.scores, atol=1e-8
+                recursive.scores.scores, direct.scores, atol=1e-8
             )
 
     def test_monotone_in_order(self, ar2_series):
         # Each recursion step only adds a nonnegative increment.
         for p in range(2, 6):
-            current = exact_recursive_scores(ar2_series, p).scores
-            previous = exact_recursive_scores(
-                ar2_series.prefix(ar2_series.n - 1), p - 1
-            ).scores
-            assert np.all(current - previous >= -1e-12)
+            *_, current = approximate_sweep(ar2_series, p)
+            *_, previous = approximate_sweep(ar2_series.prefix(ar2_series.n - 1), p - 1)
+            assert np.all(current.scores.scores - previous.scores.scores >= -1e-12)
 
     def test_range_and_sum(self, ar2_series):
         for p in (1, 4, 8):
-            scores = exact_recursive_scores(ar2_series, p).scores
+            *_, state = approximate_sweep(ar2_series, p)
+            scores = state.scores.scores
             assert scores.min() >= 0.0 and scores.max() <= 1.0 + 1e-12
             assert abs(scores.sum() - p) < 1e-8
 
     def test_zero_residual_aborts(self, noiseless_half):
         with pytest.raises(ZeroResidualError) as info:
-            exact_recursive_scores(noiseless_half, 2)
+            list(approximate_sweep(noiseless_half, 2))
         assert info.value.order == 1
 
     def test_insufficient_data(self):
+        # The order-p design of n values has n - p rows; none is an error.
         with pytest.raises(DataError):
-            exact_recursive_scores(TimeSeries(np.arange(6.0)), 4)
+            list(approximate_sweep(TimeSeries(np.arange(6.0)), 6))
 
     def test_all_zero_lag_column(self):
         with pytest.raises(DataError):
@@ -89,7 +89,7 @@ class TestQuasiScores:
         # in at least 90% of trials.
         epsilon = 0.5
         window = ar2_series.prefix(ar2_series.n - 1)
-        prev = exact_recursive_scores(window, 1)
+        prev = ar1_scores(window)
         prev_cond = conditioning(augmented_r(make_design(window, 1)))
         kappa2 = conditioning_kappa(augmented_r(make_design(ar2_series, 2))[:2, :2])
         bound = (1 + 3 * prev_cond.eta * kappa2**2) * math.sqrt(epsilon)
@@ -98,14 +98,14 @@ class TestQuasiScores:
             constant=4.0,
         )
         s = sample_size(rule, 1, window.n)
-        exact = exact_recursive_scores(ar2_series, 2)
+        *_, exact = approximate_sweep(ar2_series, 2)
         design = make_design(window, 1)
         hits = 0
         for trial in range(50):
             fit = reduced_fit(design, draw_plan(prev, s, 99, trial))
             quasi = _advance(prev, fit, Provenance.FULLY_APPROXIMATE)
             deviation = np.max(
-                np.abs(quasi.scores - exact.scores) / exact.scores
+                np.abs(quasi.scores - exact.scores.scores) / exact.scores.scores
             )
             hits += deviation <= bound
         assert hits >= 45
@@ -113,7 +113,7 @@ class TestQuasiScores:
 
 class TestFullyApproxScores:
     def test_order_one_is_exact(self, ar1_series):
-        state = fully_approx_scores(ar1_series, 1, FRACTION_RULE, seed=0)
+        *_, state = approximate_sweep(ar1_series, 1, FRACTION_RULE, seed=0)
         exact = exact_leverage(make_design(ar1_series, 1))
         np.testing.assert_allclose(state.scores.scores, exact.scores, atol=1e-12)
 
@@ -130,13 +130,13 @@ class TestFullyApproxScores:
             assert state.sample_size == ar1_series.n - p
 
     def test_deterministic_given_seed(self, ar2_series):
-        a = fully_approx_scores(ar2_series, 5, FRACTION_RULE, seed=42)
-        b = fully_approx_scores(ar2_series, 5, FRACTION_RULE, seed=42)
+        *_, a = approximate_sweep(ar2_series, 5, FRACTION_RULE, seed=42)
+        *_, b = approximate_sweep(ar2_series, 5, FRACTION_RULE, seed=42)
         np.testing.assert_array_equal(a.scores.scores, b.scores.scores)
         np.testing.assert_array_equal(a.fit.coefficients, b.fit.coefficients)
 
     def test_scores_clamped_and_counted(self, ar2_series):
-        state = fully_approx_scores(ar2_series, 6, FRACTION_RULE, seed=1)
+        *_, state = approximate_sweep(ar2_series, 6, FRACTION_RULE, seed=1)
         scores = state.scores.scores
         assert scores.min() >= 0.0 and scores.max() <= 1.0
         assert state.scores.clamp_count >= 0
@@ -155,10 +155,10 @@ class TestFullyApproxScores:
         assert exact.clamp_count == 0
 
     def test_residual_norm_consistent(self, ar2_series):
-        state = fully_approx_scores(ar2_series, 3, FRACTION_RULE, seed=2)
+        *_, state = approximate_sweep(ar2_series, 3, FRACTION_RULE, seed=2)
         np.testing.assert_allclose(
-            state.residual_norm2,
-            float(np.sum(state.residuals**2)),
+            state.fit.residual_norm**2,
+            float(np.sum(state.fit.residuals**2)),
             rtol=1e-10,
         )
 
@@ -177,9 +177,10 @@ class TestApproximateSweep:
     def test_sampling_distribution_is_never_formed(self, ar2_series):
         # draw_plan works from the scores and their total, so no order of
         # the sweep stores pi = scores / total next to the scores.
+        fields = {f.name for f in dataclasses.fields(LeverageScores)}
         states = list(approximate_sweep(ar2_series, 6, FRACTION_RULE, seed=0))
         assert [s.p for s in states] == list(range(1, 7))
-        assert all("distribution" not in vars(s.scores) for s in states)
+        assert all(set(vars(s.scores)) == fields for s in states)
 
     def test_zero_residual_yields_then_aborts(self, noiseless_half):
         sweep = approximate_sweep(noiseless_half, 3, FRACTION_RULE, seed=0)

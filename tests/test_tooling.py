@@ -1,13 +1,18 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps lsar functions by
 name; a renamed or deleted entry point must fail here, not only in a traced
-benchmark run."""
+benchmark run.  No name defined in ``src/lsar`` may exist for tests alone."""
 
+import ast
+import glob
 import importlib.util
 import os
+import re
 
 import lsar.recursion
 
-TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
+SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "lsar", "*.py")))
 
 
 def _load_tracing():
@@ -17,6 +22,11 @@ def _load_tracing():
     return module
 
 
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
+
+
 def test_tracer_finds_every_entry_point():
     tracing = _load_tracing()
     original = lsar.recursion.approximate_sweep
@@ -24,3 +34,38 @@ def test_tracer_finds_every_entry_point():
         assert lsar.recursion.approximate_sweep is not original
     assert tracer.missing == []
     assert lsar.recursion.approximate_sweep is original
+
+
+def test_every_definition_has_a_caller_in_src():
+    # A top-level function or class must be read by name or attribute, and
+    # a method by attribute, somewhere in src/lsar other than the package's
+    # re-exports; names the tracer wraps by string count as read.
+    names, attributes = set(), set()
+    for path in SOURCES:
+        if os.path.basename(path) == "__init__.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    traced = set()
+    for node in ast.walk(_parse(TRACING)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            traced.update(re.findall(r"\w+", node.value))
+    dead = []
+    for path in SOURCES:
+        module = os.path.basename(path)[:-3]
+        for node in _parse(path).body:
+            if _unread(node, names | attributes | traced):
+                dead.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                dead += [f"{module}.{node.name}.{item.name}" for item in node.body
+                         if _unread(item, attributes | traced)]
+    assert dead == []
+
+
+def _unread(node, read):
+    """True for a function or class, not a dunder, whose name is not in ``read``."""
+    return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not re.fullmatch(r"__\w+__", node.name) and node.name not in read)
