@@ -15,7 +15,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 BLAS_THREADS = (f"{_preset} (numpy loaded before lsar)" if _numpy_first
                 else os.environ["OPENBLAS_NUM_THREADS"])
 
-from .driver import DeltaMode, LsarConfig, LsarResult, OrderRecord, run_lsar
+from .driver import LsarConfig, LsarResult, OrderRecord, run_lsar
 from .errors import (
     DataError,
     DistributionError,
@@ -43,6 +43,7 @@ from .exact import (
 from .recursion import RecursionState, approximate_sweep, ar1_scores
 from .sampling import (
     RNG_NAME,
+    DeltaMode,
     SampleSizeRule,
     SamplingPlan,
     SizeMode,

@@ -21,10 +21,10 @@ import warnings
 import numpy as np
 
 from . import BLAS_THREADS, evalbench, report
-from .driver import DeltaMode, LsarConfig, run_lsar
+from .driver import LsarConfig, run_lsar
 from .errors import DataError, IngestError, LsarError, NumericalError
 from .exact import exact_pacf, fit_ols
-from .sampling import RNG_NAME, SampleSizeRule, SizeMode
+from .sampling import RNG_NAME, DeltaMode, SampleSizeRule, SizeMode
 from .series import ARGeneratorSpec, TimeSeries, center, generate_ar, log_diff, \
     make_design
 
@@ -250,21 +250,60 @@ def warn_if_uncentred(series: TimeSeries) -> dict:
     return {"warning": warning}
 
 
-def _size_rule(args) -> SampleSizeRule:
+# A flag that some mode of its command does not read parses to None when
+# absent, so that giving it can be told from its default (SampleSizeRule's
+# or LsarConfig's).  The size rule's flags that --fraction leaves unread:
+THEORETICAL_FLAGS = ("epsilon", "delta0", "beta", "constant", "delta_mode")
+# The flags that pacf reads only with --sampled:
+SAMPLED_FLAGS = ("epsilon", "delta0", "fraction", "beta", "constant", "seed",
+                 "bandwidth_multiplier")
+
+
+def _unread_flag(args) -> str | None:
+    """The usage error for a given flag that the chosen mode does not read."""
+    if args.command == "pacf" and not args.sampled:
+        flags, reason = SAMPLED_FLAGS, "only pacf --sampled reads it"
+    elif getattr(args, "fraction", None) is not None:
+        flags, reason = THEORETICAL_FLAGS, "not allowed with argument --fraction"
+    else:
+        return None
+    for dest in flags:
+        if getattr(args, dest, None) is not None:
+            return f"argument --{dest.replace('_', '-')}: {reason}"
+    return None
+
+
+def _given(**options) -> dict:
+    """The options whose flags were given, that is, are not None."""
+    return {key: value for key, value in options.items() if value is not None}
+
+
+def _size_rule(args, delta_mode: str | None = None) -> SampleSizeRule:
     if args.fraction is not None:
-        return SampleSizeRule(
-            mode=SizeMode.FRACTION,
-            epsilon=args.epsilon,
-            delta=args.delta0,
-            fraction=args.fraction,
-        )
-    return SampleSizeRule(
-        mode=SizeMode.THEORETICAL,
-        epsilon=args.epsilon,
-        delta=args.delta0,
-        beta=args.beta,
-        constant=args.constant,
-    )
+        return SampleSizeRule(SizeMode.FRACTION, fraction=args.fraction)
+    return SampleSizeRule(SizeMode.THEORETICAL, **_given(
+        epsilon=args.epsilon, delta=args.delta0, beta=args.beta, constant=args.constant,
+        delta_mode=DeltaMode(delta_mode) if delta_mode else None))
+
+
+def _lsar_config(args, delta_mode: str | None = None, refit_full: bool = False) -> LsarConfig:
+    """The sampled run of ``lsar`` and ``pacf --sampled``."""
+    return LsarConfig(max_order=args.pbar, size_rule=_size_rule(args, delta_mode),
+                      refit_full=refit_full,
+                      **_given(seed=args.seed, bandwidth_multiplier=args.bandwidth_multiplier))
+
+
+def sampling_metadata(rule: SampleSizeRule, seed: int) -> dict:
+    """The options that set a sampled run's draws: the size rule's (in
+    fraction mode only ``fraction``), the generator and its seed.  An empty
+    ``beta`` is the rule's p-dependent default."""
+    if rule.mode is SizeMode.FRACTION:
+        options = {"fraction": rule.fraction}
+    else:
+        options = {"epsilon": rule.epsilon, "delta0": rule.delta,
+                   "beta": "" if rule.beta is None else rule.beta,
+                   "constant": rule.constant, "delta_mode": rule.delta_mode.value}
+    return {**options, "rng": RNG_NAME, "seed": seed}
 
 
 def _int_list(text: str) -> list[int]:
@@ -275,18 +314,34 @@ def _int_list(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def _add_sampling_flags(parser, pbar_required=True):
-    parser.add_argument("--pbar", type=int, required=pbar_required,
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _add_rule_flags(parser):
+    """--pbar and the size rule's flags."""
+    parser.add_argument("--pbar", type=int, required=True,
                         help="largest lag / max order to consider")
-    parser.add_argument("--epsilon", type=float, default=0.5)
-    parser.add_argument("--delta0", type=float, default=0.1)
-    parser.add_argument("--fraction", type=float, default=None,
-                        help="sample-size fraction of n (else theoretical rule)")
-    parser.add_argument("--beta", type=float, default=None,
-                        help="fixed misestimation factor for the theoretical rule")
-    parser.add_argument("--constant", type=float, default=4.0,
-                        help="hidden constant of the theoretical sample-size rule")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--epsilon", type=float,
+                        help="error of the theoretical rule (default 0.5)")
+    parser.add_argument("--delta0", type=float,
+                        help="failure probability of the theoretical rule (default 0.1)")
+    parser.add_argument("--fraction", type=float,
+                        help="sample-size fraction of n (else the theoretical rule)")
+    parser.add_argument("--beta", type=float,
+                        help="fixed misestimation factor of the theoretical rule")
+    parser.add_argument("--constant", type=float,
+                        help="hidden constant of the theoretical rule (default 4)")
+
+
+def _add_run_flags(parser):
+    """The flags of a sampled run: the size rule's, the seed and the band."""
+    _add_rule_flags(parser)
+    parser.add_argument("--seed", type=_seed, help="sampler seed (default 0)")
+    parser.add_argument("--bandwidth-multiplier", type=float,
+                        help="scale of the 1.96/sqrt(s) selection band (default 1)")
 
 
 def cmd_generate(args) -> int:
@@ -345,27 +400,25 @@ def cmd_fit(args) -> int:
 
 def cmd_pacf(args) -> int:
     series = read_series(args.input)
-    uncentred = warn_if_uncentred(series) if args.sampled else {}
+    meta = {"command": "pacf", "n": series.n, "pbar": args.pbar}
     if args.sampled:
-        cfg = LsarConfig(
-            max_order=args.pbar,
-            size_rule=_size_rule(args),
-            bandwidth_multiplier=args.bandwidth_multiplier,
-            seed=args.seed,
-        )
+        uncentred = warn_if_uncentred(series)
+        cfg = _lsar_config(args)
         trace = run_lsar(series, cfg).pacf
+        meta.update(mode="sampled", **sampling_metadata(cfg.size_rule, cfg.seed),
+                    bandwidth_multiplier=cfg.bandwidth_multiplier)
     else:
+        uncentred = {}
         trace = exact_pacf(series, args.pbar)
+        meta["mode"] = "exact"
     say(f"selected_order={trace.selected_order}")
     if args.out:
         rows = [
             (int(lag), float(est), float(band))
             for lag, est, band in zip(trace.lags, trace.estimates, trace.bandwidth)
         ]
-        meta = {"command": "pacf", "mode": "sampled" if args.sampled else "exact",
-                "n": series.n, "pbar": args.pbar, "effective_sample": trace.effective_sample,
-                "rng": RNG_NAME, "seed": args.seed, "selected_order": trace.selected_order,
-                **uncentred}
+        meta.update(effective_sample=trace.effective_sample,
+                    selected_order=trace.selected_order, **uncentred)
         report.write_csv_report(args.out, ["lag", "pacf", "bandwidth"], rows, meta)
     return 0
 
@@ -373,14 +426,7 @@ def cmd_pacf(args) -> int:
 def cmd_lsar(args) -> int:
     series = read_series(args.input)
     uncentred = warn_if_uncentred(series)
-    cfg = LsarConfig(
-        max_order=args.pbar,
-        size_rule=_size_rule(args),
-        bandwidth_multiplier=args.bandwidth_multiplier,
-        seed=args.seed,
-        delta_mode=DeltaMode(args.delta_mode),
-        refit_full=args.refit_full,
-    )
+    cfg = _lsar_config(args, args.delta_mode, args.refit_full)
     result = run_lsar(series, cfg)
     say(f"p*={result.selected_order}")
     if result.aborted_at is not None:
@@ -400,10 +446,8 @@ def cmd_lsar(args) -> int:
         ]
         total_time = sum(r.wall_time for r in result.per_order_log)
         meta = {"command": "lsar", "n": series.n, "pbar": args.pbar,
-                "epsilon": args.epsilon, "delta0": args.delta0,
-                "fraction": args.fraction if args.fraction is not None else "",
-                "bandwidth_multiplier": args.bandwidth_multiplier,
-                "delta_mode": args.delta_mode, "rng": RNG_NAME, "seed": args.seed,
+                **sampling_metadata(cfg.size_rule, cfg.seed),
+                "bandwidth_multiplier": cfg.bandwidth_multiplier,
                 "selected_order": result.selected_order,
                 "total_wall_time": float(total_time), **runtime_metadata(), **uncentred}
         report.write_csv_report(
@@ -416,40 +460,17 @@ def cmd_lsar(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    series = read_series(args.input)
-    rule = _size_rule(args)
-    meta = {"rng": RNG_NAME, "seed": args.seed, "n": series.n,
-            "command": f"eval.{args.study}", **runtime_metadata()}
-    if args.study in ("mpre", "bounds", "timing"):
-        if args.pbar is None:
-            raise DataError(f"eval {args.study} needs --pbar")
-        lag_rows = {p: [float("nan")] * 5 for p in range(1, args.pbar + 1)}
-        if args.study == "mpre":
-            for p, value in evalbench.mpre_curve(series, args.pbar, rule, args.seed):
-                lag_rows[p][0] = value
-        elif args.study == "bounds":
-            for p, linear, logv in evalbench.bound_curves(series, args.pbar,
-                                                          args.epsilon, args.c_log):
-                lag_rows[p][1] = linear
-                lag_rows[p][2] = logv
-        else:
-            for p, t_exact, t_approx in evalbench.timing_study(
-                series, args.pbar, rule, args.seed
-            ):
-                lag_rows[p][3] = t_exact
-                lag_rows[p][4] = t_approx
-        rows = [(p, *vals) for p, vals in sorted(lag_rows.items())]
-        header = evalbench.LAG_HEADER
-    elif args.study == "ratios":
-        if args.p is None:
-            raise DataError("eval ratios needs --p (the fixed fit order)")
-        rows = evalbench.ratio_study(series, args.p, args.sizes, args.reps, args.seed)
-        header = evalbench.SIZE_HEADER
-        meta["p"] = args.p
-        meta["reps"] = args.reps
-    else:
-        raise DataError(f"unknown study {args.study!r}")
+def _lag_rows(first: int, results) -> list[tuple]:
+    """``LAG_HEADER`` rows of a study's (p, *values): the values from value
+    column ``first`` on, nan in the other columns."""
+    nan = float("nan")
+    return [(p, *[nan] * first, *values, *[nan] * (5 - first - len(values)))
+            for p, *values in results]
+
+
+def _write_study(args, series: TimeSeries, header, rows, meta: dict) -> int:
+    """Write an ``eval`` report and its ``.txt`` twin."""
+    meta = {"command": f"eval.{args.study}", "n": series.n, **meta, **runtime_metadata()}
     report.write_csv_report(args.out, header, rows, meta)
     text_out = args.out + ".txt" if not args.out.endswith(".csv") \
         else args.out[:-4] + ".txt"
@@ -459,77 +480,122 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def cmd_eval_sweep(args) -> int:
+    """``eval mpre`` and ``eval timing``: sweeps under the size rule."""
+    series = read_series(args.input)
+    rule = _size_rule(args)
+    if args.study == "mpre":
+        first, results = 0, evalbench.mpre_curve(series, args.pbar, rule, args.seed)
+    else:
+        first, results = 3, evalbench.timing_study(series, args.pbar, rule, args.seed)
+    return _write_study(args, series, evalbench.LAG_HEADER, _lag_rows(first, results),
+                        sampling_metadata(rule, args.seed))
+
+
+def cmd_eval_bounds(args) -> int:
+    series = read_series(args.input)
+    results = evalbench.bound_curves(series, args.pbar, args.epsilon, args.c_log)
+    return _write_study(args, series, evalbench.LAG_HEADER, _lag_rows(1, results),
+                        {"epsilon": args.epsilon, "c_log": args.c_log})
+
+
+def cmd_eval_ratios(args) -> int:
+    series = read_series(args.input)
+    rows = evalbench.ratio_study(series, args.p, args.sizes, args.reps, args.seed)
+    return _write_study(args, series, evalbench.SIZE_HEADER, rows,
+                        {"p": args.p, "reps": args.reps, "rng": RNG_NAME, "seed": args.seed})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lsar",
         description="AR model fitting and order selection via leverage-score sampling",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="simulate a seeded AR series")
+    def command(subparsers, name, help, func):
+        # No abbreviated flags: ``eval mpre --p`` must not pass for --pbar.
+        parser = subparsers.add_parser(name, help=help, allow_abbrev=False)
+        parser.set_defaults(func=func)
+        return parser
+
+    g = command(sub, "generate", "simulate a seeded AR series", cmd_generate)
     g.add_argument("--phi", type=float, nargs="*", default=[])
     g.add_argument("--sigma", type=float, default=1.0)
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--burn-in", type=int, default=None)
     g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_generate)
 
-    i = sub.add_parser("ingest", help="extract and transform a column of delimited text")
+    i = command(sub, "ingest", "extract and transform a column of delimited text", cmd_ingest)
     i.add_argument("--input", required=True)
     i.add_argument("--column", default=None, help="header name or 0-based index")
     i.add_argument("--transform", choices=TRANSFORMS, default="none")
     i.add_argument("--delimiter", default=",")
     i.add_argument("--has-header", action=argparse.BooleanOptionalAction, default=None)
     i.add_argument("--out", required=True)
-    i.set_defaults(func=cmd_ingest)
 
-    f = sub.add_parser("fit", help="full-data conditional MLE at a fixed order")
+    f = command(sub, "fit", "full-data conditional MLE at a fixed order", cmd_fit)
     f.add_argument("--input", required=True)
     f.add_argument("--p", type=int, required=True)
     f.add_argument("--out", default=None)
-    f.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("pacf", help="PACF trace, exact or sampled")
+    p = command(sub, "pacf", "PACF trace, exact or sampled", cmd_pacf)
     p.add_argument("--input", required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", dest="sampled", action="store_false", default=False)
     mode.add_argument("--sampled", dest="sampled", action="store_true")
-    _add_sampling_flags(p)
-    p.add_argument("--bandwidth-multiplier", type=float, default=1.0)
+    _add_run_flags(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_pacf)
 
-    l = sub.add_parser("lsar", help="order selection + sampled fit")
+    l = command(sub, "lsar", "order selection + sampled fit", cmd_lsar)
     l.add_argument("--input", required=True)
-    _add_sampling_flags(l)
-    l.add_argument("--bandwidth-multiplier", type=float, default=1.0)
+    _add_run_flags(l)
     l.add_argument("--delta-mode", choices=[m.value for m in DeltaMode],
-                   default=DeltaMode.PER_ORDER.value)
+                   help="per-order failure probability of the theoretical rule "
+                        "(default per_order)")
     l.add_argument("--refit-full", action="store_true")
     l.add_argument("--out", default=None)
-    l.set_defaults(func=cmd_lsar)
 
-    e = sub.add_parser("eval", help="evaluation studies")
-    e.add_argument("study", choices=["mpre", "bounds", "ratios", "timing"])
-    e.add_argument("--input", required=True)
-    _add_sampling_flags(e, pbar_required=False)
-    e.add_argument("--p", type=int, default=None, help="fixed order for ratios")
-    e.add_argument("--sizes", type=_int_list, default="200,300,400,500,600,700,800,900,1000")
-    e.add_argument("--reps", type=int, default=100)
-    e.add_argument("--c-log", type=float, default=1.0)
-    e.add_argument("--out", required=True)
-    e.set_defaults(func=cmd_eval)
+    studies = sub.add_parser("eval", help="evaluation studies").add_subparsers(
+        dest="study", required=True)
+    for name, help in (("mpre", "score error per lag"),
+                       ("timing", "exact vs sampled time per lag")):
+        e = command(studies, name, help, cmd_eval_sweep)
+        e.add_argument("--input", required=True)
+        _add_rule_flags(e)
+        e.add_argument("--seed", type=_seed, default=0)
+        e.add_argument("--out", required=True)
+
+    b = command(studies, "bounds", "error-bound curves per lag", cmd_eval_bounds)
+    b.add_argument("--input", required=True)
+    b.add_argument("--pbar", type=int, required=True)
+    b.add_argument("--epsilon", type=float, default=0.5)
+    b.add_argument("--c-log", type=float, default=1.0)
+    b.add_argument("--seed", type=_seed, default=0, help="not read (no draws)")
+    b.add_argument("--out", required=True)
+
+    r = command(studies, "ratios", "sampled vs full estimates per sample size", cmd_eval_ratios)
+    r.add_argument("--input", required=True)
+    r.add_argument("--p", type=int, required=True, help="fixed fit order")
+    r.add_argument("--sizes", type=_int_list, default="200,300,400,500,600,700,800,900,1000")
+    r.add_argument("--reps", type=int, default=100)
+    r.add_argument("--seed", type=_seed, default=0)
+    r.add_argument("--out", required=True)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n", None) is not None and args.command == "generate" and args.n < 2:
+    if args.command == "generate" and args.n < 2:
         parser.error("--n must be >= 2")
     if getattr(args, "pbar", None) is not None and args.pbar < 1:
         parser.error("--pbar must be >= 1")
+    unread = _unread_flag(args)
+    if unread:
+        parser.error(unread)
     try:
         return args.func(args)
     except NumericalError as err:

@@ -13,7 +13,6 @@ has no support in the error analysis.
 
 from __future__ import annotations
 
-import enum
 import math
 import time
 from dataclasses import dataclass
@@ -28,21 +27,12 @@ from .sampling import SampleSizeRule
 from .series import TimeSeries, make_design
 
 
-class DeltaMode(enum.Enum):
-    """How the per-iteration failure probability derives from delta0, the
-    size rule's ``delta``."""
-
-    PER_ORDER = "per_order"    # delta = delta0 / p at iteration p
-    GEOMETRIC = "geometric"    # constant delta = 1 - (1 - delta0)**(1/max_order)
-
-
 @dataclass(frozen=True)
 class LsarConfig:
     max_order: int
     size_rule: SampleSizeRule
     bandwidth_multiplier: float = 1.0
     seed: int = 0
-    delta_mode: DeltaMode = DeltaMode.PER_ORDER
     refit_full: bool = False
 
     def __post_init__(self):
@@ -80,14 +70,6 @@ class LsarResult:
         return self.selected_order == 0
 
 
-def _delta_schedule(cfg: LsarConfig):
-    """The geometric schedule; None leaves the sweep's delta0 / p."""
-    if cfg.delta_mode is DeltaMode.GEOMETRIC:
-        per_iter = 1.0 - (1.0 - cfg.size_rule.delta) ** (1.0 / cfg.max_order)
-        return lambda q: per_iter
-    return None
-
-
 def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
     """Select the AR order and fit its coefficients from sampled rows.
 
@@ -105,13 +87,7 @@ def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
     coefficients: list[np.ndarray] = []
     aborted_at = None
     abort_reason = None
-    sweep = approximate_sweep(
-        series,
-        cfg.max_order,
-        cfg.size_rule,
-        cfg.seed,
-        delta_for_order=_delta_schedule(cfg),
-    )
+    sweep = approximate_sweep(series, cfg.max_order, cfg.size_rule, cfg.seed)
     t0 = time.perf_counter()
     while True:
         try:

@@ -100,7 +100,6 @@ def approximate_sweep(
     target_order: int,
     size_rule: SampleSizeRule | None = None,
     seed: int = 0,
-    delta_for_order=None,
 ) -> Iterator[RecursionState]:
     """Run the recursion up to ``target_order``, yielding the state per order.
 
@@ -110,11 +109,10 @@ def approximate_sweep(
 
     Without ``size_rule`` every fit uses all rows of the design, so the
     scores are exact.  With one, every fit is a reduced solve on rows drawn
-    from the current scores.  The failure probability at order q is
-    ``delta_for_order(q)`` when that callable is given, else
-    ``size_rule.delta / q``.  A rank-deficient reduced system is resampled
-    once with a fresh seed offset before erroring.  Deterministic given
-    ``seed``.
+    from the current scores, as many as ``size_rule`` sets at the failure
+    probability ``size_rule.delta_at(q, target_order)``.  A rank-deficient
+    reduced system is resampled once with a fresh seed offset before
+    erroring.  Deterministic given ``seed``.
     """
     n = series.n
     if target_order < 1 or n - target_order < 1:
@@ -142,8 +140,7 @@ def approximate_sweep(
             s = design.row_count
             fit = fit_ols(design)
         else:
-            delta = size_rule.delta / q if delta_for_order is None else delta_for_order(q)
-            s = sample_size(size_rule, q, window.n, delta=delta)
+            s = sample_size(size_rule, q, window.n, size_rule.delta_at(q, target_order))
             fit = _reduced_fit_with_retry(design, scores, s, seed, q)
         yield RecursionState(p=q, scores=scores, fit=fit, window=window.n, sample_size=s)
 

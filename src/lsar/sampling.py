@@ -64,6 +64,14 @@ class SizeMode(enum.Enum):
     FRACTION = "fraction"
 
 
+class DeltaMode(enum.Enum):
+    """How the failure probability at order q of a sweep to ``max_order``
+    derives from delta0, the size rule's ``delta``."""
+
+    PER_ORDER = "per_order"    # delta0 / q
+    GEOMETRIC = "geometric"    # constant 1 - (1 - delta0)**(1/max_order)
+
+
 @dataclass(frozen=True)
 class SampleSizeRule:
     """How to choose the number of sampled rows at a given order.
@@ -76,6 +84,8 @@ class SampleSizeRule:
     fraction: ``s = ceil(fraction * n)``.
 
     Both modes are floored at p + 1 so the reduced system is determined.
+    The theoretical size at order q of a sweep takes delta from
+    ``delta_at``, as ``delta_mode`` says.
     """
 
     mode: SizeMode
@@ -84,6 +94,7 @@ class SampleSizeRule:
     beta: float | None = None
     constant: float = DEFAULT_THEORETICAL_CONSTANT
     fraction: float | None = None
+    delta_mode: DeltaMode = DeltaMode.PER_ORDER
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
@@ -100,16 +111,21 @@ class SampleSizeRule:
         elif not 0 < self.constant < math.inf:
             raise SampleSizeError(f"constant must be positive and finite, got {self.constant}")
 
+    def delta_at(self, q: int, max_order: int) -> float:
+        """Failure probability at order ``q`` of a sweep to ``max_order``."""
+        if self.delta_mode is DeltaMode.GEOMETRIC:
+            return 1.0 - (1.0 - self.delta) ** (1.0 / max_order)
+        return self.delta / q
 
-def sample_size(rule: SampleSizeRule, p: int, n: int, delta: float | None = None) -> int:
-    """Sample size at order ``p`` for a series of length ``n``.
 
-    ``delta`` overrides the rule's failure probability.  In fraction mode an
-    oversized s is clamped to the row count with a warning; in theoretical
-    mode it is an error, since it signals a misconfigured epsilon.
+def sample_size(rule: SampleSizeRule, p: int, n: int, delta: float) -> int:
+    """Sample size at order ``p`` for a series of length ``n`` and failure
+    probability ``delta``, which only the theoretical mode reads.
+
+    In fraction mode an oversized s is clamped to the row count with a
+    warning; in theoretical mode it is an error, since it signals a
+    misconfigured epsilon.
     """
-    if delta is None:
-        delta = rule.delta
     if rule.mode is SizeMode.FRACTION:
         s = math.ceil(rule.fraction * n)
     else:

@@ -162,7 +162,7 @@ def test_criterion_4_sampled_fit_error_monte_carlo():
         SizeMode.THEORETICAL, epsilon=epsilon, delta=0.1, beta=1.0,
         constant=4.0,
     )
-    s = sample_size(rule, 5, series.n)
+    s = sample_size(rule, 5, series.n, rule.delta)
     scores = exact_leverage(design)
     phi_norm = float(np.linalg.norm(full.coefficients))
     hits_resid = 0

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -472,9 +473,10 @@ class TestEval:
 
     def test_lag_study_requires_pbar(self, tmp_path, capsys):
         gen = series_file(tmp_path, np.arange(1.0, 50.0).tolist())
-        code = run(["eval", "mpre", "--input", gen,
-                    "--out", str(tmp_path / "o.csv")])
-        assert code == EXIT_DATA
+        with pytest.raises(SystemExit) as info:
+            run(["eval", "mpre", "--input", gen, "--out", str(tmp_path / "o.csv")])
+        assert info.value.code == 2
+        assert "required: --pbar" in capsys.readouterr().err
 
     @pytest.mark.parametrize("study", ["mpre", "bounds", "timing"])
     def test_lags_past_half_the_series_are_data_error(self, tmp_path, capsys, study):
@@ -728,3 +730,108 @@ class TestBlasThreads:
     def test_threads_flag_removed(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["--threads", "2", "fit", "--input", "x", "--p", "1"])
+
+
+def _flag_cases():
+    """(base argv, flag, value): a flag that the command or mode of ``base``
+    does not read."""
+    values = {"--epsilon": "0.3", "--delta0": "0.05", "--fraction": "0.1", "--beta": "1",
+              "--constant": "2", "--seed": "1", "--bandwidth-multiplier": "2",
+              "--delta-mode": "geometric", "--p": "2", "--pbar": "3", "--sizes": "50",
+              "--reps": "2", "--c-log": "2"}
+    theoretical = ["--epsilon", "--delta0", "--beta", "--constant"]
+    table = [
+        (["pacf", "--exact", "--pbar", "3"], theoretical + ["--fraction", "--seed",
+                                                            "--bandwidth-multiplier"]),
+        (["pacf", "--pbar", "3"], ["--seed"]),
+        (["lsar", "--pbar", "3", "--fraction", "0.1"], theoretical + ["--delta-mode"]),
+        (["pacf", "--sampled", "--pbar", "3", "--fraction", "0.1"], theoretical),
+        (["eval", "mpre", "--pbar", "3", "--fraction", "0.1"], theoretical),
+        (["eval", "timing", "--pbar", "3", "--fraction", "0.1"], theoretical),
+        (["eval", "mpre", "--pbar", "3"], ["--p", "--sizes", "--reps", "--c-log"]),
+        (["eval", "timing", "--pbar", "3"], ["--p", "--sizes", "--reps", "--c-log"]),
+        (["eval", "bounds", "--pbar", "3"], ["--fraction", "--delta0", "--beta", "--constant",
+                                             "--p", "--sizes", "--reps"]),
+        (["eval", "ratios", "--p", "2", "--sizes", "50", "--reps", "2"],
+         ["--pbar", "--epsilon", "--delta0", "--fraction", "--beta", "--constant", "--c-log"]),
+    ]
+    return [pytest.param(base, flag, values[flag], id=" ".join(base[:2]) + " " + flag)
+            for base, flags in table for flag in flags]
+
+
+# Commands and studies that take --seed, with their other required flags.
+SEEDED = [["generate", "--n", "100"], ["pacf", "--sampled", "--pbar", "3"],
+          ["lsar", "--pbar", "3"], ["eval", "mpre", "--pbar", "3"],
+          ["eval", "timing", "--pbar", "3"], ["eval", "bounds", "--pbar", "3"],
+          ["eval", "ratios", "--p", "2", "--sizes", "50", "--reps", "2"]]
+
+
+class TestFlags:
+    @pytest.fixture(scope="class")
+    def series(self, tmp_path_factory):
+        y = generate_ar(ARGeneratorSpec(np.array([0.5]), 1.0, 2000, seed=6))
+        return series_file(tmp_path_factory.mktemp("flags"), y.values)
+
+    @pytest.mark.parametrize("base, flag, value", _flag_cases())
+    def test_unread_flag_is_usage_error(self, series, tmp_path, capsys, base, flag, value):
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as info:
+            run([*base, "--input", series, flag, value, "--out", str(out)])
+        assert info.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert re.search(rf"{re.escape(flag)}[: ]", error), error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", SEEDED, ids=lambda c: " ".join(c[:2]))
+    def test_negative_seed_is_usage_error(self, series, tmp_path, capsys, command):
+        argv = [*command, "--seed", "-1", "--out", str(tmp_path / "o.csv")]
+        if command[0] != "generate":
+            argv += ["--input", series]
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        assert "--seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+
+    RUNTIME = {"blas_threads", "numpy"}
+    THEORETICAL = {"epsilon", "delta0", "beta", "constant", "delta_mode", "rng", "seed"}
+    FRACTION = {"fraction", "rng", "seed"}
+    LSAR = {"command", "n", "pbar", "bandwidth_multiplier", "selected_order",
+            "total_wall_time"} | RUNTIME
+    PACF = {"command", "mode", "n", "pbar", "effective_sample", "selected_order"}
+    EVAL = {"command", "n"} | RUNTIME
+
+    METADATA_CASES = [
+        (["lsar", "--pbar", "3", "--fraction", "0.1"], LSAR | FRACTION),
+        (["lsar", "--pbar", "3", "--beta", "1"], LSAR | THEORETICAL),
+        (["pacf", "--sampled", "--pbar", "3", "--fraction", "0.1"],
+         PACF | {"bandwidth_multiplier"} | FRACTION),
+        (["pacf", "--sampled", "--pbar", "3", "--beta", "1"],
+         PACF | {"bandwidth_multiplier"} | THEORETICAL),
+        (["pacf", "--exact", "--pbar", "3"], PACF),
+        (["eval", "mpre", "--pbar", "3", "--fraction", "0.1"], EVAL | FRACTION),
+        (["eval", "mpre", "--pbar", "3", "--beta", "1"], EVAL | THEORETICAL),
+        (["eval", "timing", "--pbar", "3", "--fraction", "0.1"], EVAL | FRACTION),
+        (["eval", "bounds", "--pbar", "3"], EVAL | {"epsilon", "c_log"}),
+        (["eval", "ratios", "--p", "2", "--sizes", "50", "--reps", "2"],
+         EVAL | {"p", "reps", "rng", "seed"}),
+    ]
+
+    @pytest.mark.parametrize("argv, keys", [pytest.param(argv, keys, id=" ".join(argv))
+                                            for argv, keys in METADATA_CASES])
+    def test_metadata_records_the_options_read(self, series, tmp_path, argv, keys):
+        out = tmp_path / "o.csv"
+        assert run([*argv, "--input", series, "--out", str(out)]) == 0
+        with open(out) as fh:
+            meta = dict(ln[2:].rstrip("\n").split("=", 1) for ln in fh if ln.startswith("# "))
+        assert set(meta) == keys
+
+    def test_metadata_values_are_the_rule_in_use(self, series, tmp_path):
+        out = tmp_path / "o.csv"
+        assert run(["lsar", "--input", series, "--pbar", "3", "--beta", "1",
+                    "--delta-mode", "geometric", "--seed", "4", "--out", str(out)]) == 0
+        with open(out) as fh:
+            meta = dict(ln[2:].rstrip("\n").split("=", 1) for ln in fh if ln.startswith("# "))
+        assert {k: meta[k] for k in self.THEORETICAL | {"bandwidth_multiplier"}} == {
+            "epsilon": "0.5", "delta0": "0.10000000000000001", "beta": "1", "constant": "4",
+            "delta_mode": "geometric", "rng": "philox", "seed": "4",
+            "bandwidth_multiplier": "1"}

@@ -150,10 +150,10 @@ class TestRunLsar:
     def test_geometric_delta_mode_runs(self):
         y = generate_ar(ARGeneratorSpec(np.array([0.5]), 1.0, 3000, seed=1))
         rule = SampleSizeRule(
-            SizeMode.THEORETICAL, epsilon=0.5, delta=0.1, beta=1.0
+            SizeMode.THEORETICAL, epsilon=0.5, delta=0.1, beta=1.0,
+            delta_mode=DeltaMode.GEOMETRIC,
         )
-        cfg = LsarConfig(max_order=5, size_rule=rule, seed=0,
-                         delta_mode=DeltaMode.GEOMETRIC)
+        cfg = LsarConfig(max_order=5, size_rule=rule, seed=0)
         result = run_lsar(y, cfg)
         assert len(result.per_order_log) == 5
 

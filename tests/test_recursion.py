@@ -97,7 +97,7 @@ class TestQuasiScores:
             SizeMode.THEORETICAL, epsilon=epsilon, delta=0.1, beta=1.0,
             constant=4.0,
         )
-        s = sample_size(rule, 1, window.n)
+        s = sample_size(rule, 1, window.n, rule.delta)
         *_, exact = approximate_sweep(ar2_series, 2)
         design = make_design(window, 1)
         hits = 0

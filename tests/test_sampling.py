@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsar import (
+    DeltaMode,
     DistributionError,
     LeverageScores,
     Provenance,
@@ -114,18 +115,18 @@ class TestDrawPlan:
 class TestSampleSize:
     def test_fraction_paper_scale(self):
         rule = SampleSizeRule(SizeMode.FRACTION, fraction=0.001)
-        assert sample_size(rule, 20, 2_000_000) == 2000
+        assert sample_size(rule, 20, 2_000_000, rule.delta) == 2000
 
     def test_fraction_floor(self):
         rule = SampleSizeRule(SizeMode.FRACTION, fraction=0.001)
-        assert sample_size(rule, 5, 1000) == 6
+        assert sample_size(rule, 5, 1000, rule.delta) == 6
 
     def test_theoretical_arithmetic(self):
         rule = SampleSizeRule(
             SizeMode.THEORETICAL, epsilon=0.5, delta=0.1, beta=1.0, constant=1.0
         )
         # ceil(1 * 10 * ln(100) / (1 * 0.25)) = ceil(184.2) = 185
-        assert sample_size(rule, 10, 100_000) == 185
+        assert sample_size(rule, 10, 100_000, rule.delta) == 185
 
     def test_delta_override(self):
         rule = SampleSizeRule(
@@ -136,28 +137,41 @@ class TestSampleSize:
     def test_default_beta_floor(self):
         # With p sqrt(eps) >= 1 the misestimation factor hits its floor 0.1.
         rule = SampleSizeRule(SizeMode.THEORETICAL, epsilon=0.25, delta=0.1)
-        big = sample_size(rule, 10, 10_000_000)
+        big = sample_size(rule, 10, 10_000_000, rule.delta)
         fixed = SampleSizeRule(
             SizeMode.THEORETICAL, epsilon=0.25, delta=0.1, beta=0.1
         )
-        assert big == sample_size(fixed, 10, 10_000_000)
+        assert big == sample_size(fixed, 10, 10_000_000, fixed.delta)
 
     def test_fraction_clamps_with_warning(self):
         rule = SampleSizeRule(SizeMode.FRACTION, fraction=0.9)
         with pytest.warns(UserWarning, match="clamping"):
-            assert sample_size(rule, 8, 10) == 2
+            assert sample_size(rule, 8, 10, rule.delta) == 2
 
     def test_theoretical_overflow_errors(self):
         rule = SampleSizeRule(
             SizeMode.THEORETICAL, epsilon=0.01, delta=0.1, beta=1.0
         )
         with pytest.raises(SampleSizeError, match="epsilon is too small"):
-            sample_size(rule, 10, 200)
+            sample_size(rule, 10, 200, rule.delta)
 
     def test_overflowing_log_blames_delta(self):
         rule = SampleSizeRule(SizeMode.THEORETICAL, epsilon=0.5, beta=1.0)
         with pytest.raises(SampleSizeError, match="delta is too small"):
             sample_size(rule, 3, 3000, delta=1e-320)
+
+    @pytest.mark.parametrize("delta", [0.1, 0.05, 0.9, 1e-6, 1e-300])
+    def test_delta_at_keeps_both_schedules(self, delta):
+        # Bit for bit the per-order and geometric expressions that the
+        # driver's schedule computed before the rule owned it.
+        per_order = SampleSizeRule(SizeMode.THEORETICAL, delta=delta)
+        geometric = SampleSizeRule(SizeMode.THEORETICAL, delta=delta,
+                                   delta_mode=DeltaMode.GEOMETRIC)
+        for max_order in (1, 7, 40, 100):
+            for q in range(1, max_order + 1):
+                assert per_order.delta_at(q, max_order) == delta / q
+                assert (geometric.delta_at(q, max_order)
+                        == 1.0 - (1.0 - delta) ** (1.0 / max_order))
 
     def test_invalid_parameters(self):
         with pytest.raises(SampleSizeError):
