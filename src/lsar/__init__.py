@@ -31,10 +31,8 @@ from .errors import (
 )
 from .exact import (
     ARFit,
-    FitSource,
     LeverageScores,
     PacfTrace,
-    Provenance,
     exact_leverage,
     exact_pacf,
     fit_ols,

@@ -13,17 +13,15 @@ summary lines are prefixed ``lsar:`` for scraping.  Exit codes: 2 usage,
 from __future__ import annotations
 
 import argparse
-import functools
-import itertools
 import sys
-import warnings
 
 import numpy as np
 
 from . import BLAS_THREADS, evalbench, report
 from .driver import LsarConfig, run_lsar
-from .errors import DataError, IngestError, LsarError, NumericalError
+from .errors import LsarError, NumericalError
 from .exact import exact_pacf, fit_ols
+from .report import format_value, read_series, write_series
 from .sampling import RNG_NAME, DeltaMode, SampleSizeRule, SizeMode
 from .series import ARGeneratorSpec, TimeSeries, center, generate_ar, log_diff, \
     make_design
@@ -35,185 +33,6 @@ EXIT_NUMERICAL = 4
 
 def say(line: str):
     print(f"lsar: {line}")
-
-
-def fmt(value: float) -> str:
-    return report.FLOAT_FORMAT % value
-
-
-# The line scan skips lines that start with ``#`` wherever they are, which
-# numpy's reader would parse, and float() rejects the separators
-# \x1c-\x1f that numpy strips as whitespace.  Files holding any of these
-# characters are read by the scan alone.
-SCAN_ONLY_CHARS = "#\x1c\x1d\x1e\x1f"
-# Values formatted per chunk by ``write_series``: about 0.4 MB of text and
-# 4 MB of working arrays.
-WRITE_CHUNK = 2**14
-# ``write_series`` puts a binary copy of the values next to the text, in
-# ``<path>.lsarbin``: 8 bytes of magic and version, the SHA-256 of the text's
-# bytes followed by the payload, then the payload, little-endian float64.
-SIDECAR_SUFFIX = ".lsarbin"
-SIDECAR_MAGIC = b"LSARF64\x01"
-# Bytes of text hashed per read when a sidecar is checked.
-HASH_CHUNK = 1 << 20
-
-
-def read_series(path: str, column: str | None = None, delimiter: str = ",",
-                has_header: bool | None = None) -> TimeSeries:
-    """Load one numeric column from a delimited text file.
-
-    ``column`` may be a header name or a 0-based index.  With the default
-    arguments this reads the single-column files written by ``generate``
-    and ``ingest``.  Blank lines and lines starting with ``#`` are skipped.
-    The column is parsed by numpy's C reader; a file that reader rejects, or
-    might read differently, is parsed line by line, which names the first
-    bad row.  A UTF-8 byte-order mark is dropped.
-
-    With the default arguments a file whose sidecar (see ``write_series``)
-    matches its bytes is not parsed: the sidecar holds the same values.
-    """
-    if column is None and delimiter == "," and has_header is None:
-        values = _read_sidecar(path)
-        if values is not None:
-            return TimeSeries(values)
-    if not delimiter:
-        raise IngestError("the delimiter must not be empty")
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for skipped, first in enumerate(fh):
-                if first.strip() and not first.startswith("#"):
-                    break
-            else:
-                raise IngestError(f"{path} contains no data rows")
-            chunks = itertools.chain([first], iter(functools.partial(fh.read, 1 << 20), ""))
-            scan_only = any(c in chunk for chunk in chunks for c in SCAN_ONLY_CHARS)
-    except (OSError, UnicodeDecodeError) as err:
-        raise IngestError(f"cannot read {path}: {err}") from err
-    fields = first.strip().split(delimiter)
-    header: list[str] | None = None
-    if has_header is None:
-        has_header = not _is_number(fields[0])
-    if has_header:
-        header = [h.strip() for h in fields]
-        skipped += 1
-    if column is None:
-        if header is not None and len(header) > 1:
-            raise IngestError(
-                f"{path} has {len(header)} columns; pick one of {header}"
-            )
-        col_idx = 0
-    elif column.isdigit() or (column.startswith("-") and column[1:].isdigit()):
-        col_idx = int(column)
-    else:
-        if header is None or column not in header:
-            available = header if header is not None else "(no header row)"
-            raise IngestError(f"column {column!r} not found; available: {available}")
-        col_idx = header.index(column)
-    values = None
-    # Splitting a stripped line on whitespace is not how numpy splits it.
-    if not scan_only and len(delimiter) == 1 and not delimiter.isspace():
-        try:
-            with warnings.catch_warnings():
-                # A file without data rows reads as empty; TimeSeries rejects it.
-                warnings.simplefilter("ignore", UserWarning)
-                values = np.loadtxt(path, delimiter=delimiter, comments=None,
-                                    usecols=col_idx, skiprows=skipped, ndmin=1,
-                                    encoding="utf-8-sig")
-        except (ValueError, OverflowError, OSError):
-            pass
-    if values is None:
-        values = _scan_column(path, col_idx, delimiter, has_header)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0]) + (2 if has_header else 1)
-        raise IngestError(f"{path}: non-finite value at row {bad}")
-    return TimeSeries(values)
-
-
-def _scan_column(path: str, col_idx: int, delimiter: str, has_header: bool) -> np.ndarray:
-    """Parse column ``col_idx`` line by line; errors name the data row."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    except (OSError, UnicodeDecodeError) as err:
-        raise IngestError(f"cannot read {path}: {err}") from err
-    if has_header:
-        lines = lines[1:]
-    values = np.empty(len(lines))
-    for row_no, line in enumerate(lines):
-        fields = line.split(delimiter)
-        try:
-            values[row_no] = float(fields[col_idx])
-        except (IndexError, ValueError) as err:
-            data_row = row_no + (2 if has_header else 1)
-            raise IngestError(
-                f"{path}: cannot parse column {col_idx} at row {data_row}: {err}"
-            ) from err
-    return values
-
-
-def _read_sidecar(path: str) -> np.ndarray | None:
-    """The values of ``path``'s sidecar, or None unless its digest matches
-    the bytes of ``path`` followed by the payload."""
-    try:
-        with open(path + SIDECAR_SUFFIX, "rb") as fh:
-            head = fh.read(len(SIDECAR_MAGIC) + 32)
-            if not head.startswith(SIDECAR_MAGIC):
-                return None
-            values = np.fromfile(fh, dtype="<f8")
-            if fh.read(1):  # a partial value at the end
-                return None
-        import hashlib
-
-        digest = hashlib.sha256()
-        buffer = memoryview(bytearray(HASH_CHUNK))
-        with open(path, "rb") as fh:
-            while size := fh.readinto(buffer):
-                digest.update(buffer[:size])
-        digest.update(values)
-    except OSError:
-        return None
-    return values if digest.digest() == head[len(SIDECAR_MAGIC):] else None
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
-
-
-def write_series(path: str, series: TimeSeries):
-    """Single-column ``y`` report without metadata, and its sidecar.
-
-    Values are formatted ``WRITE_CHUNK`` at a time by ``report.float_lines``,
-    so the text of the whole column never exists at once.  The sidecar
-    (``SIDECAR_SUFFIX``) is best-effort: if it cannot be written, the text
-    alone holds the series and ``read_series`` parses it.
-    """
-    import hashlib
-
-    values = series.values
-    digest = hashlib.sha256()
-
-    def chunks():
-        yield b"y\n"
-        for start in range(0, values.size, WRITE_CHUNK):
-            yield report.float_lines(values[start: start + WRITE_CHUNK]).encode()
-
-    def hashed(chunks):
-        for chunk in chunks:
-            digest.update(chunk)
-            yield chunk
-
-    report._atomic_write(path, hashed(chunks()), binary=True)
-    payload = np.ascontiguousarray(values, dtype="<f8")
-    digest.update(payload)
-    try:
-        report._atomic_write(path + SIDECAR_SUFFIX, [SIDECAR_MAGIC, digest.digest(), payload],
-                             binary=True)
-    except DataError:
-        pass
 
 
 def runtime_metadata() -> dict:
@@ -320,9 +139,20 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _at_least(low: int):
+    """The argparse type of an integer flag whose values start at ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's message for a ValueError: "invalid int value"
+    return parse
+
+
 def _add_rule_flags(parser):
     """--pbar and the size rule's flags."""
-    parser.add_argument("--pbar", type=int, required=True,
+    parser.add_argument("--pbar", type=_at_least(1), required=True,
                         help="largest lag / max order to consider")
     parser.add_argument("--epsilon", type=float,
                         help="error of the theoretical rule (default 0.5)")
@@ -378,18 +208,18 @@ def cmd_ingest(args) -> int:
     write_series(args.out, series)
     say(f"original_n={original_n}")
     say(f"transformed_n={series.n}")
-    say(f"min={fmt(float(series.values.min()))}")
-    say(f"max={fmt(float(series.values.max()))}")
-    say(f"mean={fmt(float(series.values.mean()))}")
+    say(f"min={format_value(float(series.values.min()))}")
+    say(f"max={format_value(float(series.values.max()))}")
+    say(f"mean={format_value(float(series.values.mean()))}")
     return 0
 
 
 def cmd_fit(args) -> int:
     series = read_series(args.input)
     fit = fit_ols(make_design(series, args.p))
-    say("phi=" + ",".join(fmt(c) for c in fit.coefficients))
-    say(f"sigma2={fmt(fit.noise_variance)}")
-    say(f"residual_norm={fmt(fit.residual_norm)}")
+    say("phi=" + ",".join(format_value(c) for c in fit.coefficients))
+    say(f"sigma2={format_value(fit.noise_variance)}")
+    say(f"residual_norm={format_value(fit.residual_norm)}")
     if args.out:
         rows = [(k + 1, float(c)) for k, c in enumerate(fit.coefficients)]
         meta = {"command": "fit", "p": args.p, "n": series.n,
@@ -435,7 +265,7 @@ def cmd_lsar(args) -> int:
     if result.weak_selection:
         say("warning=no lag reached the zero-confidence band")
     if result.final_fit is not None:
-        say("phi=" + ",".join(fmt(c) for c in result.final_fit.coefficients))
+        say("phi=" + ",".join(format_value(c) for c in result.final_fit.coefficients))
     if args.out:
         # Report bodies are bit-reproducible for a fixed seed, so per-order
         # wall times stay out of the rows; only the total goes into metadata.
@@ -516,14 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(subparsers, name, help, func):
         # No abbreviated flags: ``eval mpre --p`` must not pass for --pbar.
+        # ``main`` reports usage errors through the parser that ran.
         parser = subparsers.add_parser(name, help=help, allow_abbrev=False)
-        parser.set_defaults(func=func)
+        parser.set_defaults(func=func, parser=parser)
         return parser
 
     g = command(sub, "generate", "simulate a seeded AR series", cmd_generate)
     g.add_argument("--phi", type=float, nargs="*", default=[])
     g.add_argument("--sigma", type=float, default=1.0)
-    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--n", type=_at_least(2), required=True)
     g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--burn-in", type=int, default=None)
     g.add_argument("--out", required=True)
@@ -570,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = command(studies, "bounds", "error-bound curves per lag", cmd_eval_bounds)
     b.add_argument("--input", required=True)
-    b.add_argument("--pbar", type=int, required=True)
+    b.add_argument("--pbar", type=_at_least(1), required=True)
     b.add_argument("--epsilon", type=float, default=0.5)
     b.add_argument("--c-log", type=float, default=1.0)
     b.add_argument("--seed", type=_seed, default=0, help="not read (no draws)")
@@ -587,15 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "generate" and args.n < 2:
-        parser.error("--n must be >= 2")
-    if getattr(args, "pbar", None) is not None and args.pbar < 1:
-        parser.error("--pbar must be >= 1")
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     unread = _unread_flag(args)
     if unread:
-        parser.error(unread)
+        args.parser.error(unread)
     try:
         return args.func(args)
     except NumericalError as err:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ZeroResidualError
-from .exact import ARFit, FitSource, PacfTrace, ZERO_CONFIDENCE_Z, \
-    fit_from_coefficients, fit_ols, select_order
+from .exact import ARFit, PacfTrace, ZERO_CONFIDENCE_Z, fit_from_coefficients, fit_ols, \
+    select_order
 from .recursion import approximate_sweep
 from .sampling import SampleSizeRule
 from .series import TimeSeries, make_design
@@ -87,37 +87,32 @@ def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
     coefficients: list[np.ndarray] = []
     aborted_at = None
     abort_reason = None
-    sweep = approximate_sweep(series, cfg.max_order, cfg.size_rule, cfg.seed)
     t0 = time.perf_counter()
-    while True:
-        try:
-            state = next(sweep)
-        except StopIteration:
-            break
-        except ZeroResidualError as err:
-            aborted_at = err.order
-            abort_reason = str(err)
-            break
-        t1 = time.perf_counter()
-        band = cfg.bandwidth_multiplier * ZERO_CONFIDENCE_Z / math.sqrt(state.sample_size)
-        records.append(
-            OrderRecord(
-                p=state.p,
-                window=state.window,
-                sample_size=state.sample_size,
-                clamp_count=state.scores.clamp_count,
-                residual_norm=state.fit.residual_norm,
-                pacf_estimate=float(state.fit.coefficients[-1]),
-                bandwidth=band,
-                wall_time=t1 - t0,
+    try:
+        for state in approximate_sweep(series, cfg.max_order, cfg.size_rule, cfg.seed):
+            t1 = time.perf_counter()
+            band = cfg.bandwidth_multiplier * ZERO_CONFIDENCE_Z / math.sqrt(state.sample_size)
+            records.append(
+                OrderRecord(
+                    p=state.p,
+                    window=state.window,
+                    sample_size=state.sample_size,
+                    clamp_count=state.scores.clamp_count,
+                    residual_norm=state.fit.residual_norm,
+                    pacf_estimate=float(state.fit.coefficients[-1]),
+                    bandwidth=band,
+                    wall_time=t1 - t0,
+                )
             )
-        )
-        coefficients.append(state.fit.coefficients)
-        # Let go of this order's scores and residuals before the sweep
-        # computes the next order, so they are freed as soon as it has
-        # advanced the scores.
-        del state
-        t0 = t1
+            coefficients.append(state.fit.coefficients)
+            # Let go of this order's scores and residuals before the sweep
+            # computes the next order, so they are freed as soon as it has
+            # advanced the scores.
+            del state
+            t0 = t1
+    except ZeroResidualError as err:
+        aborted_at = err.order
+        abort_reason = str(err)
 
     estimates = np.array([r.pacf_estimate for r in records])
     bands = np.array([r.bandwidth for r in records])
@@ -133,9 +128,8 @@ def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
         final_fit = fit_ols(make_design(series, selected))
     elif selected >= 1:
         window = series.prefix(records[selected - 1].window)
-        final_fit = fit_from_coefficients(
-            make_design(window, selected), coefficients[selected - 1], FitSource.SAMPLED
-        )
+        final_fit = fit_from_coefficients(make_design(window, selected),
+                                          coefficients[selected - 1])
     return LsarResult(
         selected_order=selected,
         final_fit=final_fit,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +27,6 @@ LAG_HEADER = ("p", "mpre", "bound_linear", "bound_log", "time_exact", "time_appr
 SIZE_HEADER = ("s", "scheme", "rel_param_err", "resid_ratio", "excluded")
 # Row-sampling schemes of `ratio_study`, in row order.
 SCHEMES = ("leverage", "uniform")
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Conditioning quantities entering the sampled-OLS error bounds."""
-
-    kappa: float
-    xi: float
-    eta: float
 
 
 def _triangular_spectrum(r: np.ndarray) -> tuple[float, float]:
@@ -54,11 +44,13 @@ def conditioning_kappa(r: np.ndarray) -> float:
     return smax / smin
 
 
-def conditioning(r: np.ndarray) -> BoundInputs:
-    """kappa, xi, eta from the R factor of a design's ``[X | y]``.
+def conditioning(r: np.ndarray) -> float:
+    """eta, the conditioning entering the sampled-OLS error bounds, from the
+    R factor of a design's ``[X | y]``.
 
-    xi is the fraction of the response captured by the fit, ``|X phi| / |y|``;
-    eta is ``kappa * sqrt(xi^-2 - 1)``.  For a (q + 1, q + 1) ``r``, kappa
+    With xi the fraction of the response captured by the fit,
+    ``|X phi| / |y|``, and kappa the condition number of X, eta is
+    ``kappa * sqrt(xi^-2 - 1)``.  For a (q + 1, q + 1) ``r``, kappa
     comes from the singular values of ``R[:q, :q]``, and with
     ``Q^T y = R[:, q]``, ``|X phi| = |R[:q, q]|`` and ``|y| = |R[:q+1, q]|``.
     """
@@ -69,8 +61,7 @@ def conditioning(r: np.ndarray) -> BoundInputs:
     explained = float(np.linalg.norm(r[:q, q]))
     total = float(np.linalg.norm(r[:, q]))
     xi = min(explained / total, 1.0) if total > 0 else 1.0
-    eta = kappa * math.sqrt(max(xi**-2 - 1.0, 0.0))
-    return BoundInputs(kappa=kappa, xi=xi, eta=eta)
+    return kappa * math.sqrt(max(xi**-2 - 1.0, 0.0))
 
 
 def mpre(exact: LeverageScores, approx: LeverageScores) -> float:
@@ -107,8 +98,8 @@ def mpre_curve(
     return rows
 
 
-def bound_linear_value(inputs: BoundInputs, kappa_p: float, p: int, epsilon: float) -> float:
-    return (1.0 + 3.0 * inputs.eta * kappa_p**2) * (p - 1) * math.sqrt(epsilon)
+def bound_linear_value(eta: float, kappa_p: float, p: int, epsilon: float) -> float:
+    return (1.0 + 3.0 * eta * kappa_p**2) * (p - 1) * math.sqrt(epsilon)
 
 
 def bound_curves(
@@ -120,11 +111,11 @@ def bound_curves(
     """Per-lag error-bound curves: the proven (p - 1) factor and the
     conjectured scaled log(p) variant.
 
-    The bound at lag p needs kappa, xi and eta of the order-(p - 1) fit on
-    the first n - 1 values, and kappa_p of the order-p design.  That fit's
-    ``[X | y]`` is the order-p design with its lag-1 column moved last, over
-    the same n - p rows, and singular values do not depend on column order:
-    so kappa_p is the condition number of its whole R, and each lag factors
+    The bound at lag p needs eta of the order-(p - 1) fit on the first
+    n - 1 values, and kappa_p of the order-p design.  That fit's ``[X | y]``
+    is the order-p design with its lag-1 column moved last, over the same
+    n - p rows, and singular values do not depend on column order: so
+    kappa_p is the condition number of its whole R, and each lag factors
     one panel.
 
     Row format: (p, bound_linear, bound_log).

@@ -22,7 +22,6 @@ wrappers load in about 5 ms.
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 import sys
@@ -43,16 +42,6 @@ QR_BLOCK = 8
 ZERO_CONFIDENCE_Z = 1.96
 
 
-class FitSource(enum.Enum):
-    FULL = "full"
-    SAMPLED = "sampled"
-
-
-class Provenance(enum.Enum):
-    EXACT = "exact"
-    FULLY_APPROXIMATE = "fully_approximate"
-
-
 @dataclass(frozen=True)
 class ARFit:
     """One fitted AR(p) regression: coefficients, residuals and noise MSE.
@@ -66,7 +55,6 @@ class ARFit:
     residuals: np.ndarray
     residual_norm: float
     noise_variance: float
-    source: FitSource
 
     def __post_init__(self):
         self.coefficients.setflags(write=False)
@@ -78,9 +66,7 @@ class LeverageScores:
     """Per-row leverage scores and their sum, which normalizes them into the
     sampling distribution."""
 
-    order: int
     scores: np.ndarray
-    provenance: Provenance
     total: float
     clamp_count: int = 0
 
@@ -88,13 +74,13 @@ class LeverageScores:
         self.scores.setflags(write=False)
 
     @classmethod
-    def from_scores(cls, order, scores, provenance, clamp_count=0):
+    def from_scores(cls, scores, clamp_count=0):
         total = scores.sum()
         if not math.isfinite(total):
             raise NumericalError(f"leverage scores sum to {total}; no sampling distribution")
         if total <= 0:
             raise DataError("all leverage scores are zero; no sampling distribution")
-        return cls(order, scores, provenance, float(total), clamp_count)
+        return cls(scores, float(total), clamp_count)
 
     def __len__(self) -> int:
         return self.scores.size
@@ -256,7 +242,7 @@ def solve_ols(r: np.ndarray) -> np.ndarray:
         raise NumericalError(f"triangular solve failed: {err}") from err
 
 
-def fit_from_coefficients(design: ARDesign, phi: np.ndarray, source: FitSource) -> ARFit:
+def fit_from_coefficients(design: ARDesign, phi: np.ndarray) -> ARFit:
     """The fit with coefficients ``phi``, its residuals on the full design.
 
     The noise-variance estimate is ``|r|^2 / (n - p)``.
@@ -270,13 +256,12 @@ def fit_from_coefficients(design: ARDesign, phi: np.ndarray, source: FitSource) 
         residuals=residuals,
         residual_norm=rnorm,
         noise_variance=rnorm**2 / design.row_count,
-        source=source,
     )
 
 
 def fit_ols(design: ARDesign) -> ARFit:
     """Conditional MLE of the AR coefficients at the design's order."""
-    return fit_from_coefficients(design, solve_ols(augmented_r(design)), FitSource.FULL)
+    return fit_from_coefficients(design, solve_ols(augmented_r(design)))
 
 
 def exact_leverage(design: ARDesign) -> LeverageScores:
@@ -296,7 +281,7 @@ def exact_leverage(design: ARDesign) -> LeverageScores:
         rows = _this.blas.dtrsm(1.0, r, block[:, :p], side=1, overwrite_b=True)
         np.einsum("ij,ij->i", rows, rows, out=scores[start: start + rows.shape[0]])
         start += rows.shape[0]
-    return LeverageScores.from_scores(p, scores, Provenance.EXACT)
+    return LeverageScores.from_scores(scores)
 
 
 def check_max_lag(max_lag: int, n: int):

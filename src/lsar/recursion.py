@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DataError, NumericalError, RankDeficiencyError, ZeroResidualError
-from .exact import ARFit, LeverageScores, Provenance, fit_ols
+from .exact import ARFit, LeverageScores, fit_ols
 from .sampling import SampleSizeRule, draw_plan, reduced_fit, sample_size
 from .series import TimeSeries, make_design
 
@@ -65,7 +65,7 @@ def ar1_scores(series: TimeSeries) -> LeverageScores:
                 "order-1 scores undefined: the squares of the lagged values underflow"
             )
         raise DataError("order-1 scores undefined: all lagged values are zero")
-    return LeverageScores.from_scores(1, y[:-1] ** 2 / total, Provenance.EXACT)
+    return LeverageScores.from_scores(y[:-1] ** 2 / total)
 
 
 def _check_residual(fit: ARFit, window_norm: float):
@@ -73,12 +73,12 @@ def _check_residual(fit: ARFit, window_norm: float):
         raise ZeroResidualError(fit.order)
 
 
-def _advance(scores: LeverageScores, fit: ARFit, provenance: Provenance):
+def _advance(scores: LeverageScores, fit: ARFit, clamp: bool):
     """Score update: previous scores plus normalized squared residuals.
 
     Approximate scores can leave [0, 1] through sampled-residual noise only;
-    they are clamped before the distribution is formed and the clamp count
-    is reported.  Exact scores are never clamped.
+    with ``clamp`` they are clamped before the distribution is formed and
+    the clamp count is reported.  Exact scores are never clamped.
     """
     updated = np.square(fit.residuals)
     updated /= fit.residual_norm**2
@@ -86,13 +86,11 @@ def _advance(scores: LeverageScores, fit: ARFit, provenance: Provenance):
     clamp_count = 0
     # Both terms are nonnegative, so only the upper bound can be crossed.
     # The mask is built only when some score crossed it, which is rare.
-    if provenance is not Provenance.EXACT and updated.max() > 1.0:
+    if clamp and updated.max() > 1.0:
         over = updated > 1.0
         clamp_count = int(np.count_nonzero(over))
         updated[over] = 1.0
-    return LeverageScores.from_scores(
-        fit.order + 1, updated, provenance, clamp_count=clamp_count
-    )
+    return LeverageScores.from_scores(updated, clamp_count)
 
 
 def approximate_sweep(
@@ -117,7 +115,6 @@ def approximate_sweep(
     n = series.n
     if target_order < 1 or n - target_order < 1:
         raise DataError(f"bad sweep bounds: target {target_order}, n {n}")
-    provenance = Provenance.EXACT if size_rule is None else Provenance.FULLY_APPROXIMATE
     scores = fit = None
     for q in range(1, target_order + 1):
         window = series.prefix(n - target_order + q)
@@ -131,7 +128,7 @@ def approximate_sweep(
             # A perfect previous fit makes the increment 0/0; abort rather
             # than mask it, since every later order would inherit the damage.
             _check_residual(fit, math.sqrt(window_norm2))
-            scores = _advance(scores, fit, provenance)
+            scores = _advance(scores, fit, clamp=size_rule is not None)
             # Spent: once the consumer has let go of the last state, as
             # run_lsar does, its arrays are freed before this order's solve.
             fit = None
@@ -148,11 +145,7 @@ def approximate_sweep(
 def _reduced_fit_with_retry(design, scores, s, seed, q):
     # With-replacement draws can hit a degenerate row multiset; one retry
     # with a fresh seed offset keeps the pipeline deterministic given seed.
-    for attempt in (0, 1):
-        plan = draw_plan(scores, s, seed, q, attempt)
-        try:
-            return reduced_fit(design, plan)
-        except RankDeficiencyError:
-            if attempt == 1:
-                raise
-    raise AssertionError("unreachable")
+    try:
+        return reduced_fit(design, draw_plan(scores, s, seed, q, 0))
+    except RankDeficiencyError:
+        return reduced_fit(design, draw_plan(scores, s, seed, q, 1))

@@ -1,4 +1,4 @@
-"""Machine-readable report emission.
+"""Machine-readable reports and series files.
 
 Reports are CSV files with a leading metadata block of ``# key=value``
 comment lines and a fixed, documented header row.  An equivalent
@@ -7,8 +7,11 @@ printed with 17 significant digits so values round-trip exactly.  Files are
 written to a temporary sibling and renamed, so a partial file is never left
 behind.
 
-Long columns of numbers (the series files of ``ingest`` and ``generate``)
-are formatted by ``float_lines``, which returns the same bytes as
+Series files are what ``generate`` and ``ingest`` write and every other
+command reads: a single ``y`` column, with a binary sidecar that spares the
+parse (``write_series``, ``read_series``).  ``read_series`` also extracts a
+column of any delimited text.  Their long columns of numbers are formatted
+by ``float_lines``, which returns the same bytes as
 ``FLOAT_FORMAT % v`` per value but works on whole numpy blocks: the 17
 digits come from exact integer arithmetic, and only zeros, values below
 1e-6 or from 1e17 up, and non-finite values take the per-value path.
@@ -16,15 +19,35 @@ digits come from exact integer arithmetic, and only zeros, values below
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 import tempfile
+import warnings
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, IngestError
+from .series import TimeSeries
 
 FLOAT_FORMAT = "%.17g"
+
+# The line scan skips lines that start with ``#`` wherever they are, which
+# numpy's reader would parse, and float() rejects the separators
+# \x1c-\x1f that numpy strips as whitespace.  Files holding any of these
+# characters are read by the scan alone.
+SCAN_ONLY_CHARS = "#\x1c\x1d\x1e\x1f"
+# Values formatted per chunk by ``write_series``: about 0.4 MB of text and
+# 4 MB of working arrays.
+WRITE_CHUNK = 2**14
+# ``write_series`` puts a binary copy of the values next to the text, in
+# ``<path>.lsarbin``: 8 bytes of magic and version, the SHA-256 of the text's
+# bytes followed by the payload, then the payload, little-endian float64.
+SIDECAR_SUFFIX = ".lsarbin"
+SIDECAR_MAGIC = b"LSARF64\x01"
+# Bytes of text hashed per read when a sidecar is checked.
+HASH_CHUNK = 1 << 20
 
 # ``float_lines`` prints 1e-6 <= |v| < 1e17 from integers: the 17 digits of
 # v are D = round(|v| * 10**q) with q = 16 - floor(log10 |v|) in [0, 22],
@@ -165,6 +188,164 @@ def _atomic_write(path: str, chunks: Iterable[str | bytes], binary: bool = False
         if isinstance(err, OSError):
             raise DataError(f"cannot write {path}: {err.strerror or err}") from err
         raise
+
+
+def read_series(path: str, column: str | None = None, delimiter: str = ",",
+                has_header: bool | None = None) -> TimeSeries:
+    """Load one numeric column from a delimited text file.
+
+    ``column`` may be a header name or a 0-based index.  With the default
+    arguments this reads the single-column files written by ``generate``
+    and ``ingest``.  Blank lines and lines starting with ``#`` are skipped.
+    The column is parsed by numpy's C reader; a file that reader rejects, or
+    might read differently, is parsed line by line, which names the first
+    bad row.  A UTF-8 byte-order mark is dropped.
+
+    With the default arguments a file whose sidecar (see ``write_series``)
+    matches its bytes is not parsed: the sidecar holds the same values.
+    """
+    if column is None and delimiter == "," and has_header is None:
+        values = _read_sidecar(path)
+        if values is not None:
+            return TimeSeries(values)
+    if not delimiter:
+        raise IngestError("the delimiter must not be empty")
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for skipped, first in enumerate(fh):
+                if first.strip() and not first.startswith("#"):
+                    break
+            else:
+                raise IngestError(f"{path} contains no data rows")
+            chunks = itertools.chain([first], iter(functools.partial(fh.read, 1 << 20), ""))
+            scan_only = any(c in chunk for chunk in chunks for c in SCAN_ONLY_CHARS)
+    except (OSError, UnicodeDecodeError) as err:
+        raise IngestError(f"cannot read {path}: {err}") from err
+    fields = first.strip().split(delimiter)
+    header: list[str] | None = None
+    if has_header is None:
+        has_header = not _is_number(fields[0])
+    if has_header:
+        header = [h.strip() for h in fields]
+        skipped += 1
+    if column is None:
+        if header is not None and len(header) > 1:
+            raise IngestError(
+                f"{path} has {len(header)} columns; pick one of {header}"
+            )
+        col_idx = 0
+    elif column.isdigit() or (column.startswith("-") and column[1:].isdigit()):
+        col_idx = int(column)
+    else:
+        if header is None or column not in header:
+            available = header if header is not None else "(no header row)"
+            raise IngestError(f"column {column!r} not found; available: {available}")
+        col_idx = header.index(column)
+    values = None
+    # Splitting a stripped line on whitespace is not how numpy splits it.
+    if not scan_only and len(delimiter) == 1 and not delimiter.isspace():
+        try:
+            with warnings.catch_warnings():
+                # A file without data rows reads as empty; TimeSeries rejects it.
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(path, delimiter=delimiter, comments=None,
+                                    usecols=col_idx, skiprows=skipped, ndmin=1,
+                                    encoding="utf-8-sig")
+        except (ValueError, OverflowError, OSError):
+            pass
+    if values is None:
+        values = _scan_column(path, col_idx, delimiter, has_header)
+    if not np.all(np.isfinite(values)):
+        bad = int(np.flatnonzero(~np.isfinite(values))[0]) + (2 if has_header else 1)
+        raise IngestError(f"{path}: non-finite value at row {bad}")
+    return TimeSeries(values)
+
+
+def _scan_column(path: str, col_idx: int, delimiter: str, has_header: bool) -> np.ndarray:
+    """Parse column ``col_idx`` line by line; errors name the data row."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    except (OSError, UnicodeDecodeError) as err:
+        raise IngestError(f"cannot read {path}: {err}") from err
+    if has_header:
+        lines = lines[1:]
+    values = np.empty(len(lines))
+    for row_no, line in enumerate(lines):
+        fields = line.split(delimiter)
+        try:
+            values[row_no] = float(fields[col_idx])
+        except (IndexError, ValueError) as err:
+            data_row = row_no + (2 if has_header else 1)
+            raise IngestError(
+                f"{path}: cannot parse column {col_idx} at row {data_row}: {err}"
+            ) from err
+    return values
+
+
+def _read_sidecar(path: str) -> np.ndarray | None:
+    """The values of ``path``'s sidecar, or None unless its digest matches
+    the bytes of ``path`` followed by the payload."""
+    try:
+        with open(path + SIDECAR_SUFFIX, "rb") as fh:
+            head = fh.read(len(SIDECAR_MAGIC) + 32)
+            if not head.startswith(SIDECAR_MAGIC):
+                return None
+            values = np.fromfile(fh, dtype="<f8")
+            if fh.read(1):  # a partial value at the end
+                return None
+        import hashlib
+
+        digest = hashlib.sha256()
+        buffer = memoryview(bytearray(HASH_CHUNK))
+        with open(path, "rb") as fh:
+            while size := fh.readinto(buffer):
+                digest.update(buffer[:size])
+        digest.update(values)
+    except OSError:
+        return None
+    return values if digest.digest() == head[len(SIDECAR_MAGIC):] else None
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+        return True
+    except ValueError:
+        return False
+
+
+def write_series(path: str, series: TimeSeries):
+    """Single-column ``y`` report without metadata, and its sidecar.
+
+    Values are formatted ``WRITE_CHUNK`` at a time by ``float_lines``,
+    so the text of the whole column never exists at once.  The sidecar
+    (``SIDECAR_SUFFIX``) is best-effort: if it cannot be written, the text
+    alone holds the series and ``read_series`` parses it.
+    """
+    import hashlib
+
+    values = series.values
+    digest = hashlib.sha256()
+
+    def chunks():
+        yield b"y\n"
+        for start in range(0, values.size, WRITE_CHUNK):
+            yield float_lines(values[start: start + WRITE_CHUNK]).encode()
+
+    def hashed(chunks):
+        for chunk in chunks:
+            digest.update(chunk)
+            yield chunk
+
+    _atomic_write(path, hashed(chunks()), binary=True)
+    payload = np.ascontiguousarray(values, dtype="<f8")
+    digest.update(payload)
+    try:
+        _atomic_write(path + SIDECAR_SUFFIX, [SIDECAR_MAGIC, digest.digest(), payload],
+                      binary=True)
+    except DataError:
+        pass
 
 
 def metadata_lines(metadata: Mapping[str, object]) -> list[str]:

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DistributionError, SampleSizeError
-from .exact import ARFit, FitSource, LeverageScores, augmented_r, fit_from_coefficients, \
-    solve_ols
+from .exact import ARFit, LeverageScores, augmented_r, fit_from_coefficients, solve_ols
 from .series import ARDesign
 
 RNG_NAME = "philox"
@@ -191,4 +190,4 @@ def reduced_fit(design: ARDesign, plan: SamplingPlan) -> ARFit:
             f"plan indices out of range for design with {design.row_count} rows"
         )
     phi = solve_ols(augmented_r(design, plan.indices, plan.weights))
-    return fit_from_coefficients(design, phi, FitSource.SAMPLED)
+    return fit_from_coefficients(design, phi)

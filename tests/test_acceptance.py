@@ -157,7 +157,7 @@ def test_criterion_4_sampled_fit_error_monte_carlo():
     series = generate_ar(ARGeneratorSpec(phi5, 1.0, 20_000, seed=4))
     design = make_design(series, 5)
     full = fit_ols(design)
-    inputs = conditioning(augmented_r(design))
+    eta = conditioning(augmented_r(design))
     rule = SampleSizeRule(
         SizeMode.THEORETICAL, epsilon=epsilon, delta=0.1, beta=1.0,
         constant=4.0,
@@ -172,14 +172,14 @@ def test_criterion_4_sampled_fit_error_monte_carlo():
         hits_resid += fit.residual_norm <= (1 + epsilon) * full.residual_norm
         hits_param += (
             np.linalg.norm(fit.coefficients - full.coefficients)
-            <= math.sqrt(epsilon) * inputs.eta * phi_norm
+            <= math.sqrt(epsilon) * eta * phi_norm
         )
     elapsed = time.perf_counter() - t0
     passed = hits_resid >= 90 and hits_param >= 90 and elapsed <= 120.0
     report(
         4,
         passed,
-        f"s={s}, eta={inputs.eta:.2f}: residual bound {hits_resid}/100, "
+        f"s={s}, eta={eta:.2f}: residual bound {hits_resid}/100, "
         f"parameter bound {hits_param}/100 in {elapsed:.1f}s",
     )
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import lsar
 from lsar import IngestError, LsarError, cli, generate_ar, report
-from lsar.cli import EXIT_DATA, EXIT_NUMERICAL, WRITE_CHUNK, main, read_series, write_series
+from lsar.cli import EXIT_DATA, EXIT_NUMERICAL, main
+from lsar.report import WRITE_CHUNK, read_series, write_series
 from lsar.series import ARGeneratorSpec, TimeSeries
 
 
@@ -119,7 +120,7 @@ def line_scan_read_series(path, column=None, delimiter=",", has_header=None):
     first = lines[0].split(delimiter)
     header = None
     if has_header is None:
-        has_header = not cli._is_number(first[0])
+        has_header = not report._is_number(first[0])
     if has_header:
         header = [h.strip() for h in first]
         lines = lines[1:]
@@ -202,7 +203,7 @@ class TestReadSeries:
         def no_scan(*args):
             raise AssertionError("line scan used")
 
-        monkeypatch.setattr(cli, "_scan_column", no_scan)
+        monkeypatch.setattr(report, "_scan_column", no_scan)
         assert read_series(single).values.tobytes() == values.tobytes()
         assert read_series(str(multi), "close").values.tobytes() == values.tobytes()
 
@@ -526,7 +527,7 @@ class TestAtomicWrites:
                         "--reps", "2", "--out", str(tmp_path / "r.csv")]) == 0
         finally:
             os.umask(old)
-        for name in ("g.csv", "g.csv" + cli.SIDECAR_SUFFIX, "r.csv", "r.txt"):
+        for name in ("g.csv", "g.csv" + report.SIDECAR_SUFFIX, "r.csv", "r.txt"):
             assert os.stat(tmp_path / name).st_mode & 0o777 == mode, name
 
 
@@ -580,8 +581,8 @@ def forge_sidecar(path, values):
     payload = np.asarray(values, dtype="<f8").tobytes()
     with open(path, "rb") as fh:
         digest = hashlib.sha256(fh.read() + payload).digest()
-    with open(path + cli.SIDECAR_SUFFIX, "wb") as fh:
-        fh.write(cli.SIDECAR_MAGIC + digest + payload)
+    with open(path + report.SIDECAR_SUFFIX, "wb") as fh:
+        fh.write(report.SIDECAR_MAGIC + digest + payload)
 
 
 class TestSidecar:
@@ -591,16 +592,16 @@ class TestSidecar:
         path = str(tmp_path_factory.getbasetemp() / "round.csv")
         expected = np.array(values, dtype=float).tobytes()
         write_series(path, TimeSeries(np.array(values)))
-        assert cli._read_sidecar(path).tobytes() == expected
+        assert report._read_sidecar(path).tobytes() == expected
         assert read_series(path).values.tobytes() == expected
-        os.unlink(path + cli.SIDECAR_SUFFIX)
+        os.unlink(path + report.SIDECAR_SUFFIX)
         assert read_series(path).values.tobytes() == expected
 
     def test_layout(self, tmp_path):
         path = series_file(tmp_path, [1.5, -2.0, 3.25])
-        with open(path + cli.SIDECAR_SUFFIX, "rb") as fh:
+        with open(path + report.SIDECAR_SUFFIX, "rb") as fh:
             data = fh.read()
-        assert data[:8] == cli.SIDECAR_MAGIC and len(data) == 8 + 32 + 3 * 8
+        assert data[:8] == report.SIDECAR_MAGIC and len(data) == 8 + 32 + 3 * 8
         assert np.frombuffer(data[40:], dtype="<f8").tolist() == [1.5, -2.0, 3.25]
 
     def test_edited_text_wins(self, tmp_path):
@@ -609,7 +610,7 @@ class TestSidecar:
             text = fh.read()
             fh.seek(0)
             fh.write(text.replace(b"2.5", b"2.7"))
-        assert cli._read_sidecar(path) is None
+        assert report._read_sidecar(path) is None
         np.testing.assert_array_equal(read_series(path).values, [1.5, 2.7, 3.5])
 
     @pytest.mark.parametrize("damage", ["empty", "short head", "cut value", "extra byte",
@@ -617,7 +618,7 @@ class TestSidecar:
     def test_damaged_sidecar_is_ignored(self, tmp_path, damage):
         values = [1.5, 2.5, 3.5, 4.5]
         path = series_file(tmp_path, values)
-        sidecar = path + cli.SIDECAR_SUFFIX
+        sidecar = path + report.SIDECAR_SUFFIX
         with open(sidecar, "rb") as fh:
             data = bytearray(fh.read())
         if damage == "empty":
@@ -636,7 +637,7 @@ class TestSidecar:
             data = np.random.default_rng(0).bytes(len(data))
         with open(sidecar, "wb") as fh:
             fh.write(data)
-        assert cli._read_sidecar(path) is None
+        assert report._read_sidecar(path) is None
         np.testing.assert_array_equal(read_series(path).values, values)
 
     @pytest.mark.parametrize("kwargs", [{"column": "y"}, {"column": "0"}, {"delimiter": ";"},
@@ -651,11 +652,11 @@ class TestSidecar:
         raw = tmp_path / "raw.csv"
         raw.write_text("t,close\n0,1.0\n1,1.5\n2,1.2\n3,1.4\n")
         out = tmp_path / "o.csv"
-        os.mkdir(str(out) + cli.SIDECAR_SUFFIX)
+        os.mkdir(str(out) + report.SIDECAR_SUFFIX)
         assert run(["ingest", "--input", str(raw), "--column", "close",
                     "--out", str(out)]) == 0
         assert out.read_bytes() == b"y\n1\n1.5\n1.2\n1.3999999999999999\n"
-        assert os.path.isdir(str(out) + cli.SIDECAR_SUFFIX)
+        assert os.path.isdir(str(out) + report.SIDECAR_SUFFIX)
         assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
         np.testing.assert_array_equal(read_series(str(out)).values, [1.0, 1.5, 1.2, 1.4])
 
@@ -667,7 +668,7 @@ class TestSidecar:
         args = [*command, "--input", str(gen), "--pbar", "6", "--fraction", "0.05",
                 "--seed", "1"]
         assert run(args + ["--out", str(tmp_path / "a.csv")]) == 0
-        os.unlink(str(gen) + cli.SIDECAR_SUFFIX)
+        os.unlink(str(gen) + report.SIDECAR_SUFFIX)
         assert run(args + ["--out", str(tmp_path / "b.csv")]) == 0
         assert body_lines(tmp_path / "a.csv") == body_lines(tmp_path / "b.csv")
 
@@ -791,6 +792,24 @@ class TestFlags:
             run(argv)
         assert info.value.code == 2
         assert "--seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, command", [
+        pytest.param(argv, command, id=" ".join(argv)) for argv, command in [
+            (["pacf", "--exact", "--pbar", "3", "--seed", "1"], "pacf"),
+            (["pacf", "--pbar", "0"], "pacf"),
+            (["generate", "--n", "1"], "generate"),
+            (["lsar", "--pbar", "3", "--bogus", "1"], "lsar"),
+            (["eval", "bounds", "--pbar", "3", "--zzz"], "eval bounds"),
+        ]])
+    def test_usage_error_shows_the_command_usage(self, series, tmp_path, capsys, argv,
+                                                 command):
+        argv = [*argv, "--out", str(tmp_path / "o.csv")]
+        if argv[0] != "generate":
+            argv += ["--input", series]
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith(f"usage: lsar {command} [-h]")
 
     RUNTIME = {"blas_threads", "numpy"}
     THEORETICAL = {"epsilon", "delta0", "beta", "constant", "delta_mode", "rng", "seed"}

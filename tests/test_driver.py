@@ -8,12 +8,13 @@ from lsar import (
     ARGeneratorSpec,
     DataError,
     DeltaMode,
-    FitSource,
     LsarConfig,
     SampleSizeRule,
     SizeMode,
     TimeSeries,
+    fit_ols,
     generate_ar,
+    make_design,
     run_lsar,
 )
 from lsar.recursion import approximate_sweep
@@ -132,7 +133,6 @@ class TestRunLsar:
         assert result.selected_order >= 1
         sweep = list(approximate_sweep(y, cfg.max_order, cfg.size_rule, cfg.seed))
         own = sweep[result.selected_order - 1].fit
-        assert result.final_fit.source is FitSource.SAMPLED
         assert result.final_fit.order == own.order
         assert np.array_equal(result.final_fit.coefficients, own.coefficients)
         assert np.array_equal(result.final_fit.residuals, own.residuals)
@@ -144,8 +144,9 @@ class TestRunLsar:
         cfg = LsarConfig(max_order=8, size_rule=FRACTION_RULE, seed=2,
                          bandwidth_multiplier=2.0, refit_full=True)
         result = run_lsar(y, cfg)
-        assert result.final_fit.source is FitSource.FULL
         assert result.final_fit.order == result.selected_order
+        full = fit_ols(make_design(y, result.selected_order))
+        assert np.array_equal(result.final_fit.coefficients, full.coefficients)
 
     def test_geometric_delta_mode_runs(self):
         y = generate_ar(ARGeneratorSpec(np.array([0.5]), 1.0, 3000, seed=1))

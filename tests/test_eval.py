@@ -8,7 +8,6 @@ from lsar import (
     DataError,
     LeverageScores,
     LsarConfig,
-    Provenance,
     RankDeficiencyError,
     SampleSizeRule,
     SizeMode,
@@ -21,7 +20,6 @@ from lsar import (
 )
 from lsar import evalbench
 from lsar.evalbench import (
-    BoundInputs,
     bound_curves,
     bound_linear_value,
     conditioning,
@@ -42,9 +40,7 @@ FRACTION_RULE = SampleSizeRule(SizeMode.FRACTION, fraction=0.05)
 
 
 def make_scores(values):
-    return LeverageScores.from_scores(
-        1, np.asarray(values, dtype=float), Provenance.EXACT
-    )
+    return LeverageScores.from_scores(np.asarray(values, dtype=float))
 
 
 class TestMpre:
@@ -57,7 +53,7 @@ class TestMpre:
         assert mpre(scores, scores) == 0.0
 
     def test_zero_exact_score_rejected(self):
-        exact = LeverageScores(1, np.array([0.0, 1.0]), Provenance.EXACT, 1.0)
+        exact = LeverageScores(np.array([0.0, 1.0]), 1.0)
         with pytest.raises(DataError, match="index 0"):
             mpre(exact, make_scores([0.1, 0.9]))
 
@@ -79,8 +75,7 @@ class TestMpre:
 
 class TestBoundCurves:
     def test_zero_eta_arithmetic(self):
-        inputs = BoundInputs(kappa=1.0, xi=1.0, eta=0.0)
-        assert abs(bound_linear_value(inputs, 5.0, 2, 0.01) - 0.1) < 1e-12
+        assert abs(bound_linear_value(0.0, 5.0, 2, 0.01) - 0.1) < 1e-12
 
     def test_order_one_is_zero(self, ar2_series):
         rows = bound_curves(ar2_series.prefix(500), 3, 0.25)
@@ -163,11 +158,15 @@ class TestBoundCurves:
 
 class TestConditioning:
     def test_eta_formula(self, ar2_series):
-        inputs = conditioning(augmented_r(make_design(ar2_series.prefix(800), 2)))
-        assert inputs.kappa >= 1.0
-        assert 0 < inputs.xi <= 1.0
+        design = make_design(ar2_series.prefix(800), 2)
+        x, y = design.materialize(), design.responses
+        u, singular, _ = np.linalg.svd(x, full_matrices=False)
+        kappa = singular[0] / singular[-1]
+        xi = np.linalg.norm(u.T @ y) / np.linalg.norm(y)  # |X phi| / |y|
+        assert kappa >= 1.0
+        assert 0 < xi <= 1.0
         np.testing.assert_allclose(
-            inputs.eta, inputs.kappa * np.sqrt(inputs.xi**-2 - 1), rtol=1e-12
+            conditioning(augmented_r(design)), kappa * np.sqrt(xi**-2 - 1), rtol=1e-12
         )
 
     def test_triangular_spectrum_matches_svd(self):

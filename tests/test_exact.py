@@ -13,7 +13,6 @@ from lsar import (
     DataError,
     LeverageScores,
     NumericalError,
-    Provenance,
     RankDeficiencyError,
     TimeSeries,
     exact_leverage,
@@ -333,7 +332,7 @@ class TestExactLeverage:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_score_sum_is_numerical_error(self, bad):
         with pytest.raises(NumericalError):
-            LeverageScores.from_scores(1, np.array([0.5, bad]), Provenance.EXACT)
+            LeverageScores.from_scores(np.array([0.5, bad]))
 
     def test_order_one_closed_form(self):
         scores = exact_leverage(make_design(TimeSeries(np.array([1.0, 2, 3])), 1))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lsar import (
     ARGeneratorSpec,
     DataError,
-    Provenance,
     SampleSizeRule,
     SizeMode,
     TimeSeries,
@@ -19,7 +18,7 @@ from lsar import (
     make_design,
 )
 from lsar.evalbench import conditioning, conditioning_kappa
-from lsar.exact import ARFit, FitSource, LeverageScores, augmented_r
+from lsar.exact import ARFit, LeverageScores, augmented_r
 from lsar.recursion import _advance, approximate_sweep, ar1_scores
 from lsar.sampling import draw_plan, reduced_fit, sample_size
 
@@ -34,7 +33,6 @@ class TestExactRecursion:
         *_, state = approximate_sweep(TimeSeries(np.array([1.0, 2, 3])), 1)
         scores = state.scores
         np.testing.assert_allclose(scores.scores, [0.2, 0.8], atol=1e-14)
-        assert scores.provenance is Provenance.EXACT
 
     def test_two_by_two_against_hat_oracle(self):
         series = TimeSeries(np.array([1.0, 2, 1, 3]))
@@ -90,9 +88,9 @@ class TestQuasiScores:
         epsilon = 0.5
         window = ar2_series.prefix(ar2_series.n - 1)
         prev = ar1_scores(window)
-        prev_cond = conditioning(augmented_r(make_design(window, 1)))
+        prev_eta = conditioning(augmented_r(make_design(window, 1)))
         kappa2 = conditioning_kappa(augmented_r(make_design(ar2_series, 2))[:2, :2])
-        bound = (1 + 3 * prev_cond.eta * kappa2**2) * math.sqrt(epsilon)
+        bound = (1 + 3 * prev_eta * kappa2**2) * math.sqrt(epsilon)
         rule = SampleSizeRule(
             SizeMode.THEORETICAL, epsilon=epsilon, delta=0.1, beta=1.0,
             constant=4.0,
@@ -103,7 +101,7 @@ class TestQuasiScores:
         hits = 0
         for trial in range(50):
             fit = reduced_fit(design, draw_plan(prev, s, 99, trial))
-            quasi = _advance(prev, fit, Provenance.FULLY_APPROXIMATE)
+            quasi = _advance(prev, fit, clamp=True)
             deviation = np.max(
                 np.abs(quasi.scores - exact.scores.scores) / exact.scores.scores
             )
@@ -126,7 +124,6 @@ class TestFullyApproxScores:
             np.testing.assert_allclose(
                 state.scores.scores, exact.scores, atol=1e-10
             )
-            assert state.scores.provenance is Provenance.EXACT
             assert state.sample_size == ar1_series.n - p
 
     def test_deterministic_given_seed(self, ar2_series):
@@ -140,17 +137,16 @@ class TestFullyApproxScores:
         scores = state.scores.scores
         assert scores.min() >= 0.0 and scores.max() <= 1.0
         assert state.scores.clamp_count >= 0
-        assert state.scores.provenance is Provenance.FULLY_APPROXIMATE
 
     def test_advance_clamps_approximate_scores_only(self):
-        previous = LeverageScores.from_scores(1, np.array([0.9, 0.5, 0.1]), Provenance.EXACT)
+        previous = LeverageScores.from_scores(np.array([0.9, 0.5, 0.1]))
         fit = ARFit(order=1, coefficients=np.zeros(1), residuals=np.array([0.8, 0.6, 0.0]),
-                    residual_norm=1.0, noise_variance=1.0 / 3.0, source=FitSource.SAMPLED)
-        clamped = _advance(previous, fit, Provenance.FULLY_APPROXIMATE)
+                    residual_norm=1.0, noise_variance=1.0 / 3.0)
+        clamped = _advance(previous, fit, clamp=True)
         np.testing.assert_array_equal(clamped.scores, [1.0, 0.86, 0.1])
         assert clamped.clamp_count == 1
         assert clamped.total == 1.96
-        exact = _advance(previous, fit, Provenance.EXACT)
+        exact = _advance(previous, fit, clamp=False)
         np.testing.assert_array_equal(exact.scores, [0.9 + 0.64, 0.86, 0.1])
         assert exact.clamp_count == 0
 

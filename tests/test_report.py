@@ -1,4 +1,6 @@
+import hashlib
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsar.cli import read_series, write_series
 from lsar.report import FLOAT_FORMAT, float_lines
+from lsar.series import TimeSeries
 
 
 def reference(values):
@@ -87,3 +91,24 @@ class TestFloatLines:
     def test_matches_percent_format_on_bit_patterns(self, words):
         values = np.array(words, dtype=np.uint64).view(np.float64)
         check(values[np.isfinite(values)])
+
+
+# A series that takes both of float_lines' paths: zeros, a subnormal, the
+# double nearest 1e-6 (written both ways), 1e17 and two fast-path values.
+PINNED_VALUES = [0.0, -0.0, 5e-324, 9.9999999999999995e-07, 1e-06, 1e17, -1 / 3, 123456.789]
+PINNED_SHA256 = {
+    "": "76ff2189ae50e94ce74656c3a7b13e170cada875e590cf0a5a3b7e37ef4e6769",
+    ".lsarbin": "b7752e6140d685e6cb819cb67fb568b9d4facab4524c2a672c93af4dc47ced4a",
+}
+
+
+def test_series_file_bytes_are_pinned(tmp_path):
+    path = str(tmp_path / "y.csv")
+    expected = np.array(PINNED_VALUES).tobytes()
+    write_series(path, TimeSeries(np.array(PINNED_VALUES)))
+    for suffix, digest in PINNED_SHA256.items():
+        with open(path + suffix, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, suffix
+    assert read_series(path).values.tobytes() == expected
+    os.unlink(path + ".lsarbin")
+    assert read_series(path).values.tobytes() == expected

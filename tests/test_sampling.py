@@ -7,7 +7,6 @@ from lsar import (
     DeltaMode,
     DistributionError,
     LeverageScores,
-    Provenance,
     RankDeficiencyError,
     SampleSizeError,
     SampleSizeRule,
@@ -29,9 +28,7 @@ from lsar.sampling import (
 
 
 def scores_from_distribution(pi: np.ndarray) -> LeverageScores:
-    return LeverageScores.from_scores(
-        1, np.asarray(pi, dtype=float), Provenance.EXACT
-    )
+    return LeverageScores.from_scores(np.asarray(pi, dtype=float))
 
 
 class TestDrawPlan:

@@ -1,7 +1,7 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps lsar functions by
 name; a renamed or deleted entry point must fail here, not only in a traced
-benchmark run.  No name defined in ``src/lsar`` may exist for tests alone,
-and no CLI flag may go unread."""
+benchmark run.  No name or dataclass field defined in ``src/lsar`` may
+exist for tests alone, and no CLI flag may go unread."""
 
 import argparse
 import ast
@@ -71,6 +71,26 @@ def test_every_definition_has_a_caller_in_src():
                 dead += [f"{module}.{node.name}.{item.name}" for item in node.body
                          if _unread(item, attributes | traced)]
     assert dead == []
+
+
+def test_every_dataclass_field_is_read():
+    # A field must be read as an attribute somewhere in src/lsar other than
+    # the package's re-exports, or by the tracer's count hooks.
+    attributes = set()
+    for path in SOURCES + [TRACING]:
+        if os.path.basename(path) != "__init__.py":
+            attributes.update(node.attr for node in ast.walk(_parse(path))
+                              if isinstance(node, ast.Attribute))
+    unread = []
+    for path in SOURCES:
+        module = os.path.basename(path)[:-3]
+        for node in _parse(path).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(d, "func", d).id == "dataclass" for d in node.decorator_list):
+                unread += [f"{module}.{node.name}.{item.target.id}" for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and item.target.id not in attributes]
+    assert unread == []
 
 
 def _unread(node, read):
