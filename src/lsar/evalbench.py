@@ -17,8 +17,8 @@ import time
 import numpy as np
 
 from .errors import DataError, RankDeficiencyError
-from .exact import LeverageScores, _check_rank, augmented_r, check_max_lag, exact_leverage, \
-    fit_ols
+from .exact import LeverageScores, _check_rank, check_max_lag, exact_leverage, fit_ols, \
+    nested_factors
 from .recursion import approximate_sweep
 from .sampling import SampleSizeRule, SamplingPlan, draw_plan, make_rng, reduced_fit
 from .series import TimeSeries, make_design
@@ -86,16 +86,13 @@ def mpre_curve(
 ) -> list[tuple[int, float]]:
     """Observed MPRE per lag from one fully-approximate sweep.
 
-    Exact scores are computed per lag on the same growing windows the sweep
-    uses, so both sides see identical designs.
+    The exact sweep runs on the same growing windows, so both sides see
+    identical designs; they share the order-1 scores, whose MPRE is 0.
     """
     check_max_lag(max_lag, series.n)
-    rows = []
-    for state in approximate_sweep(series, max_lag, size_rule, seed):
-        window = series.prefix(state.window)
-        exact = exact_leverage(make_design(window, state.p))
-        rows.append((state.p, mpre(exact, state.scores)))
-    return rows
+    return [(exact.p, mpre(exact.scores, approx.scores))
+            for exact, approx in zip(approximate_sweep(series, max_lag),
+                                     approximate_sweep(series, max_lag, size_rule, seed))]
 
 
 def bound_linear_value(eta: float, kappa_p: float, p: int, epsilon: float) -> float:
@@ -113,10 +110,9 @@ def bound_curves(
 
     The bound at lag p needs eta of the order-(p - 1) fit on the first
     n - 1 values, and kappa_p of the order-p design.  That fit's ``[X | y]``
-    is the order-p design with its lag-1 column moved last, over the same
-    n - p rows, and singular values do not depend on column order: so
-    kappa_p is the condition number of its whole R, and each lag factors
-    one panel.
+    is the order-p design with its lag-1 column moved last, and lag p's
+    `nested_factors` factor cut to (p, p) is its R with the lag columns
+    reversed.  eta and the singular values do not depend on column order.
 
     Row format: (p, bound_linear, bound_log).
     """
@@ -125,14 +121,12 @@ def bound_curves(
     if not 0 < c_log < math.inf:
         raise DataError(f"c_log must be positive and finite, got {c_log}")
     check_max_lag(max_lag, series.n)
-    rows = [(1, 0.0, 0.0)] if max_lag >= 1 else []
-    shorter = series.prefix(series.n - 1)
-    for p in range(2, max_lag + 1):
-        r = augmented_r(make_design(shorter, p - 1))
+    rows = []
+    for p, f in zip(range(max_lag, 1, -1), nested_factors(series, max_lag)):
+        r = f[:p, :p]
         linear = bound_linear_value(conditioning(r), conditioning_kappa(r), p, epsilon)
-        log_variant = linear / (p - 1) * c_log * math.log(p)
-        rows.append((p, linear, log_variant))
-    return rows
+        rows.append((p, linear, linear / (p - 1) * c_log * math.log(p)))
+    return [(1, 0.0, 0.0)] + rows[::-1] if max_lag >= 1 else []
 
 
 def uniform_plan(m_rows: int, s: int, *seed_words) -> SamplingPlan:

@@ -7,10 +7,11 @@ chosen rows of ``[X | y]``.  It reads the rows in blocks of about 512 KiB:
 LAPACK's recursive compact-WY QR (``dgeqrt``, Elmroth & Gustavson) factors
 the first block and ``dtpqrt`` folds each later one into R, both mostly in
 matrix-matrix products.  The triangular system ``R[:p, :p] phi = R[:p, p]``
-gives the coefficients.  Exact leverage scores are the squared row norms of
-Q = X R^-1, computed block by block, so Q is never formed either.  Normal
-equations are deliberately avoided; the kappa^2 conditioning loss would
-contaminate the score oracles.
+gives the coefficients, and `nested_factors` turns one R into the factors
+of every lag 1..p, so each exact path factors its rows once.  Exact leverage
+scores are the squared row norms of Q = X R^-1, computed block by block, so
+Q is never formed either.  Normal equations are deliberately avoided; the
+kappa^2 conditioning loss would contaminate the score oracles.
 
 The LAPACK and BLAS routines come straight from scipy's compiled f2py
 wrappers, ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, loaded by
@@ -226,6 +227,29 @@ def augmented_r(design: ARDesign, indices: np.ndarray | None = None,
     return r
 
 
+def nested_factors(series: TimeSeries, max_lag: int):
+    """Fresh R factors of the windows ``[y[i], ..., y[i + h]]`` over rows
+    i < n - h, for h = max_lag down to 1, from one `augmented_r` pass.
+
+    Fits on nested column sets share one QR (Björck 1996, §2.7): factor h
+    without its last column, plus the row ``y[n - h:]``, is factor h - 1.
+    ``solve_ols`` of factor h gives the order-h coefficients lag h first,
+    and of its leading (q + 1, q + 1) block the order-q fit to y[:n - h + q].
+    """
+    y = series.values
+    r = augmented_r(make_design(series, max_lag))
+    f, _, info = _this.lapack.dgeqrt(min(QR_BLOCK, max_lag + 1),
+                                     r[:, [*range(max_lag - 1, -1, -1), max_lag]])
+    f = np.triu(f)
+    for h in range(max_lag, 0, -1):
+        if info != 0:
+            raise NumericalError(f"QR of the lag-{h} factor failed: LAPACK info={info}")
+        yield f
+        if h > 1:
+            # No overwrite flags: the wrapper folds copies, never the series.
+            f, _, _, info = _this.lapack.dtpqrt(0, min(QR_BLOCK, h), f[:h, :h], y[None, -h:])
+
+
 def solve_ols(r: np.ndarray) -> np.ndarray:
     """Least-squares coefficients from the R factor of ``[X | y]``.
 
@@ -296,17 +320,17 @@ def check_max_lag(max_lag: int, n: int):
 def exact_pacf(series: TimeSeries, max_lag: int) -> PacfTrace:
     """PACF trace from full-data OLS fits at each lag 1..max_lag.
 
-    The estimate at lag h is the last coefficient of the order-h CMLE.
-    Rank-deficient lags are recorded as NaN.
+    The estimate at lag h is the lag-h coefficient of the order-h CMLE, read
+    from `nested_factors`.  Rank-deficient lags are recorded as NaN.
     """
     n = series.n
     if max_lag < 1:
         raise DataError(f"max_lag must be >= 1, got {max_lag}")
     check_max_lag(max_lag, n)
     estimates = np.full(max_lag, np.nan)
-    for h in range(1, max_lag + 1):
+    for h, f in zip(range(max_lag, 0, -1), nested_factors(series, max_lag)):
         try:
-            estimates[h - 1] = fit_ols(make_design(series, h)).coefficients[-1]
+            estimates[h - 1] = solve_ols(f)[0]
         except RankDeficiencyError:
             pass
     effective = n - max_lag

@@ -6,8 +6,8 @@ the order-(p-1) fit on a window one observation shorter.  One sweep,
 `approximate_sweep`, runs the recursion.  Its row policy decides which rows
 each of those fits uses:
 
-* all rows (no size rule) -- full-data fits, so the scores are exact and
-  equal the hat-matrix diagonal;
+* all rows (no size rule) -- full-data fits, all read from one nested R
+  factor, so the scores are exact and equal the hat-matrix diagonal;
 * sampled rows (a size rule) -- reduced fits on rows drawn from the current
   scores: the fully-approximate recursion of LSAR, which carries only
   approximated scores and sampled-fit residuals forward.
@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DataError, NumericalError, RankDeficiencyError, ZeroResidualError
-from .exact import ARFit, LeverageScores, fit_ols
+from .exact import ARFit, LeverageScores, fit_from_coefficients, nested_factors, solve_ols
 from .sampling import SampleSizeRule, draw_plan, reduced_fit, sample_size
 from .series import TimeSeries, make_design
 
@@ -105,17 +105,18 @@ def approximate_sweep(
     observations.  The yielded state's fit is the order-q solve on that
     window; its residuals feed the order q + 1 score update.
 
-    Without ``size_rule`` every fit uses all rows of the design, so the
-    scores are exact.  With one, every fit is a reduced solve on rows drawn
-    from the current scores, as many as ``size_rule`` sets at the failure
-    probability ``size_rule.delta_at(q, target_order)``.  A rank-deficient
-    reduced system is resampled once with a fresh seed offset before
-    erroring.  Deterministic given ``seed``.
+    Without ``size_rule`` every fit reads the first `nested_factors` factor:
+    all rows, so the scores are exact.  With one, every fit is a reduced
+    solve on rows drawn from the current scores, as many as ``size_rule``
+    sets at the failure probability ``size_rule.delta_at(q, target_order)``.
+    A rank-deficient reduced system is resampled once with a fresh seed
+    offset before erroring.  Deterministic given ``seed``.
     """
     n = series.n
     if target_order < 1 or n - target_order < 1:
         raise DataError(f"bad sweep bounds: target {target_order}, n {n}")
     scores = fit = None
+    factor = next(nested_factors(series, target_order)) if size_rule is None else None
     for q in range(1, target_order + 1):
         window = series.prefix(n - target_order + q)
         if q == 1:
@@ -135,7 +136,7 @@ def approximate_sweep(
         design = make_design(window, q)
         if size_rule is None:
             s = design.row_count
-            fit = fit_ols(design)
+            fit = fit_from_coefficients(design, solve_ols(factor[:q + 1, :q + 1])[::-1])
         else:
             s = sample_size(size_rule, q, window.n, size_rule.delta_at(q, target_order))
             fit = _reduced_fit_with_retry(design, scores, s, seed, q)

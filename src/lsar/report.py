@@ -277,9 +277,9 @@ def _scan_column(path: str, col_idx: int, delimiter: str, has_header: bool) -> n
             values[row_no] = float(fields[col_idx])
         except (IndexError, ValueError) as err:
             data_row = row_no + (2 if has_header else 1)
-            raise IngestError(
-                f"{path}: cannot parse column {col_idx} at row {data_row}: {err}"
-            ) from err
+            why = f"the row has {len(fields)} field(s)" if isinstance(err, IndexError) else err
+            raise IngestError(f"{path}: cannot parse column {col_idx} at row {data_row}: "
+                              f"{why}") from err
     return values
 
 

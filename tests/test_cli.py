@@ -142,8 +142,9 @@ def line_scan_read_series(path, column=None, delimiter=",", has_header=None):
             values[row_no] = float(fields[col_idx])
         except (IndexError, ValueError) as err:
             data_row = row_no + (2 if has_header else 1)
+            why = f"the row has {len(fields)} field(s)" if isinstance(err, IndexError) else err
             raise IngestError(
-                f"{path}: cannot parse column {col_idx} at row {data_row}: {err}"
+                f"{path}: cannot parse column {col_idx} at row {data_row}: {why}"
             ) from err
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0]) + (2 if has_header else 1)
@@ -223,6 +224,15 @@ class TestReadSeries:
         path.write_text("a,b\n1\x1c,2\n3,4\n")
         with pytest.raises(IngestError, match="at row 2"):
             read_series(str(path), "a")
+
+    def test_missing_column_names_the_row_fields(self, tmp_path, capsys):
+        path = tmp_path / "gen.csv"
+        path.write_text("y\n1.5\n2.5\n")
+        command = ["ingest", "--input", str(path), "--column", "5", "--out", str(tmp_path / "o")]
+        assert main(command) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "cannot parse column 5 at row 2: the row has 1 field(s)" in err
+        assert "list index out of range" not in err
 
     def test_undecodable_file_is_ingest_error(self, tmp_path):
         path = tmp_path / "b.csv"

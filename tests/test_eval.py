@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lsar import (
     TimeSeries,
     approximate_sweep,
     exact_leverage,
+    exact_pacf,
     generate_ar,
     make_design,
     run_lsar,
@@ -73,6 +75,55 @@ class TestMpre:
             assert abs(v1 - v2) < 1e-10
 
 
+class TestMpreCurve:
+    def test_matches_per_lag_exact_leverage(self, ar2_series):
+        # The per-lag reference: exact scores from one factorization per lag.
+        rows = mpre_curve(ar2_series, 8, FRACTION_RULE, seed=1)
+        assert [p for p, _ in rows] == list(range(1, 9))
+        assert rows[0] == (1, 0.0)
+        sweep = approximate_sweep(ar2_series, 8, FRACTION_RULE, seed=1)
+        for state, (p, value) in list(zip(sweep, rows))[1:]:
+            exact = exact_leverage(make_design(ar2_series.prefix(state.window), p))
+            assert value == pytest.approx(mpre(exact, state.scores), rel=1e-11, abs=0)
+
+
+# Each exact path, and the full-row sweep, at pbar = 6.
+EXACT_PATHS = {
+    "exact_pacf": lambda y: exact_pacf(y, 6),
+    "bound_curves": lambda y: bound_curves(y, 6, 0.25),
+    "mpre_curve": lambda y: mpre_curve(y, 6, FRACTION_RULE, seed=0),
+    "exact_sweep": lambda y: list(approximate_sweep(y, 6)),
+}
+
+
+@pytest.mark.parametrize("path", sorted(EXACT_PATHS))
+def test_one_full_row_factor_per_call(path, ar2_series, monkeypatch):
+    # Every lag reads the nested factors of one order-6 R; the sampled
+    # sweep of mpre_curve factors only the rows it draws.
+    full_row = []
+
+    def spy(design, indices=None, weights=None):
+        if indices is None:
+            full_row.append(design.p)
+        return augmented_r(design, indices, weights)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lsar") and getattr(module, "augmented_r", None) is augmented_r:
+            monkeypatch.setattr(module, "augmented_r", spy)
+    EXACT_PATHS[path](ar2_series.prefix(500))
+    assert full_row == [6]
+
+
+@pytest.mark.parametrize("path", sorted(EXACT_PATHS))
+def test_series_is_never_written(path, ar2_series):
+    # The folds must not write the series' read-only values in place.
+    y = ar2_series.prefix(500)
+    before = y.values.tobytes()
+    EXACT_PATHS[path](y)
+    assert y.values.tobytes() == before
+    assert not y.values.flags.writeable
+
+
 class TestBoundCurves:
     def test_zero_eta_arithmetic(self):
         assert abs(bound_linear_value(0.0, 5.0, 2, 0.01) - 0.1) < 1e-12
@@ -99,17 +150,6 @@ class TestBoundCurves:
 
     def test_no_lags_no_rows(self, ar2_series):
         assert bound_curves(ar2_series, 0, 0.25) == []
-
-    def test_one_factorization_per_lag(self, ar2_series, monkeypatch):
-        orders = []
-
-        def spy(design, *args):
-            orders.append(design.p)
-            return augmented_r(design, *args)
-
-        monkeypatch.setattr(evalbench, "augmented_r", spy)
-        bound_curves(ar2_series.prefix(500), 6, 0.25)
-        assert orders == [1, 2, 3, 4, 5]
 
     @pytest.mark.parametrize("p", [2, 5, 20])
     def test_whole_r_of_shorter_fit_gives_kappa_p(self, ar2_series, p):
@@ -263,10 +303,12 @@ class TestDeltaSchedule:
         expected = [r.sample_size for r in log]
         sweeps = []
 
-        def recording(*args, **kwargs):
+        def recording(series, target_order, size_rule=None, seed=0):
+            # mpre_curve's exact sweep draws no sizes.
             sizes = []
-            sweeps.append(sizes)
-            for state in approximate_sweep(*args, **kwargs):
+            if size_rule is not None:
+                sweeps.append(sizes)
+            for state in approximate_sweep(series, target_order, size_rule, seed):
                 sizes.append(state.sample_size)
                 yield state
 

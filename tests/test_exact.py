@@ -23,7 +23,7 @@ from lsar import (
     select_order,
 )
 import lsar.exact
-from lsar.exact import QR_BLOCK, _check_rank, augmented_r, solve_ols
+from lsar.exact import QR_BLOCK, _check_rank, augmented_r, nested_factors, solve_ols
 from lsar.sampling import SamplingPlan, reduced_fit
 from lsar.series import BLOCK_BYTES
 
@@ -445,11 +445,39 @@ class TestExactPacf:
         with pytest.raises(DataError):
             exact_pacf(ar1_series, 0)
 
+    def test_matches_per_lag_fits(self, ar2_series):
+        # The per-lag reference: one full-design fit per lag.
+        trace = exact_pacf(ar2_series, 12)
+        reference = [fit_ols(make_design(ar2_series, h)).coefficients[-1] for h in range(1, 13)]
+        np.testing.assert_allclose(trace.estimates, reference, rtol=0, atol=1e-14)
+
     def test_rank_deficient_lag_recorded_as_nan(self):
         # A constant series defeats every lag >= 2 but not selection.
         trace = exact_pacf(TimeSeries(np.full(20, 2.0)), 3)
         assert np.all(np.isnan(trace.estimates[1:]))
         assert trace.selected_order in (0, 1)
+
+
+class TestNestedFactors:
+    def test_each_factor_is_an_r_of_its_windows(self, ar2_series):
+        # Held all at once, so a factor written by a later fold would show.
+        y = ar2_series.values
+        factors = list(nested_factors(ar2_series, 9))
+        assert [f.shape for f in factors] == [(h + 1, h + 1) for h in range(9, 0, -1)]
+        for h, f in zip(range(9, 0, -1), factors):
+            windows = np.lib.stride_tricks.sliding_window_view(y, h + 1)[: y.size - h]
+            gram = windows.T @ windows
+            np.testing.assert_allclose(f.T @ f, gram, rtol=0, atol=1e-13 * np.abs(gram).max())
+            assert not np.tril(f, -1).any()
+
+    def test_leading_blocks_are_the_growing_window_fits(self, ar2_series):
+        n, h = ar2_series.n, 7
+        # Factor 7 is the third, after those of lags 9 and 8.
+        f = list(nested_factors(ar2_series, 9))[2]
+        for q in range(1, h + 1):
+            expected = fit_ols(make_design(ar2_series.prefix(n - h + q), q)).coefficients
+            np.testing.assert_allclose(solve_ols(f[: q + 1, : q + 1])[::-1], expected,
+                                       rtol=1e-12, atol=1e-14)
 
 
 class TestSelectOrder:
