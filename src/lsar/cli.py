@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
 from . import BLAS_THREADS, evalbench, report
-from .driver import LsarConfig, run_lsar
+from .driver import REFRESH_RATIO, LsarConfig, run_lsar
 from .errors import LsarError, NumericalError
 from .exact import exact_pacf, fit_ols
 from .report import format_value, read_series, write_series
@@ -123,6 +124,12 @@ def sampling_metadata(rule: SampleSizeRule, seed: int) -> dict:
                    "beta": "" if rule.beta is None else rule.beta,
                    "constant": rule.constant, "delta_mode": rule.delta_mode.value}
     return {**options, "rng": RNG_NAME, "seed": seed}
+
+
+def refresh_metadata(result) -> dict:
+    """The orders that refreshed the scores, and the ratio that picked them."""
+    return {"refresh_ratio": REFRESH_RATIO,
+            "refresh_orders": ",".join(str(r.p) for r in result.per_order_log if r.refreshed)}
 
 
 def _int_list(text: str) -> list[int]:
@@ -234,9 +241,10 @@ def cmd_pacf(args) -> int:
     if args.sampled:
         uncentred = warn_if_uncentred(series)
         cfg = _lsar_config(args)
-        trace = run_lsar(series, cfg).pacf
+        result = run_lsar(series, cfg)
+        trace = result.pacf
         meta.update(mode="sampled", **sampling_metadata(cfg.size_rule, cfg.seed),
-                    bandwidth_multiplier=cfg.bandwidth_multiplier)
+                    bandwidth_multiplier=cfg.bandwidth_multiplier, **refresh_metadata(result))
     else:
         uncentred = {}
         trace = exact_pacf(series, args.pbar)
@@ -278,7 +286,7 @@ def cmd_lsar(args) -> int:
         meta = {"command": "lsar", "n": series.n, "pbar": args.pbar,
                 **sampling_metadata(cfg.size_rule, cfg.seed),
                 "bandwidth_multiplier": cfg.bandwidth_multiplier,
-                "selected_order": result.selected_order,
+                **refresh_metadata(result), "selected_order": result.selected_order,
                 "total_wall_time": float(total_time), **runtime_metadata(), **uncentred}
         report.write_csv_report(
             args.out,
@@ -425,7 +433,13 @@ def main(argv=None) -> int:
     if unread:
         args.parser.error(unread)
     try:
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as caught:  # each said once, below
+            warnings.simplefilter("always", UserWarning)
+            try:
+                return args.func(args)
+            finally:
+                for message in dict.fromkeys(str(w.message) for w in caught):
+                    say(f"warning={message}")
     except NumericalError as err:
         print(f"lsar: error={type(err).__name__} {err}", file=sys.stderr)
         return EXIT_NUMERICAL

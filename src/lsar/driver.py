@@ -9,6 +9,9 @@ reaches the zero-confidence band ``1.96/sqrt(s)`` of that lag's sample size.
 The PACF estimate at lag p is taken from the reduced fit of the same
 iteration; computing it before the fit would need a second fitting pass and
 has no support in the error analysis.
+
+Only the orders ``REFRESH_RATIO`` picks refresh the scores (`lsar.recursion`);
+the others record a NaN residual norm and no clamped scores.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from .exact import ARFit, PacfTrace, ZERO_CONFIDENCE_Z, fit_from_coefficients, f
 from .recursion import approximate_sweep
 from .sampling import SampleSizeRule
 from .series import TimeSeries, make_design
+
+# Refreshes 13 of 40 orders and 17 of 100: 1-5, 7, 9, 12, 15, 19, 24, ...
+REFRESH_RATIO = 0.8
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,7 @@ class OrderRecord:
     pacf_estimate: float
     bandwidth: float
     wall_time: float
+    refreshed: bool
 
 
 @dataclass(frozen=True)
@@ -89,21 +96,16 @@ def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
     abort_reason = None
     t0 = time.perf_counter()
     try:
-        for state in approximate_sweep(series, cfg.max_order, cfg.size_rule, cfg.seed):
+        for state in approximate_sweep(series, cfg.max_order, cfg.size_rule, cfg.seed,
+                                       REFRESH_RATIO):
             t1 = time.perf_counter()
             band = cfg.bandwidth_multiplier * ZERO_CONFIDENCE_Z / math.sqrt(state.sample_size)
-            records.append(
-                OrderRecord(
-                    p=state.p,
-                    window=state.window,
-                    sample_size=state.sample_size,
-                    clamp_count=state.scores.clamp_count,
-                    residual_norm=state.fit.residual_norm,
-                    pacf_estimate=float(state.fit.coefficients[-1]),
-                    bandwidth=band,
-                    wall_time=t1 - t0,
-                )
-            )
+            records.append(OrderRecord(
+                p=state.p, window=state.window, sample_size=state.sample_size,
+                clamp_count=state.scores.clamp_count if state.refreshed else 0,
+                residual_norm=state.fit.residual_norm,
+                pacf_estimate=float(state.fit.coefficients[-1]), bandwidth=band,
+                wall_time=t1 - t0, refreshed=state.refreshed))
             coefficients.append(state.fit.coefficients)
             # Let go of this order's scores and residuals before the sweep
             # computes the next order, so they are freed as soon as it has

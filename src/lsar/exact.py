@@ -48,18 +48,20 @@ class ARFit:
     """One fitted AR(p) regression: coefficients, residuals and noise MSE.
 
     ``residuals`` are always evaluated on the full design, even when the
-    coefficients came from a sampled (reduced) solve.
+    coefficients came from a sampled (reduced) solve.  A reduced fit that
+    skipped that pass has None, and NaN for the norm and noise variance.
     """
 
     order: int
     coefficients: np.ndarray
-    residuals: np.ndarray
+    residuals: np.ndarray | None
     residual_norm: float
     noise_variance: float
 
     def __post_init__(self):
         self.coefficients.setflags(write=False)
-        self.residuals.setflags(write=False)
+        if self.residuals is not None:
+            self.residuals.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,14 @@ class LeverageScores:
 
     def __len__(self) -> int:
         return self.scores.size
+
+    def cdf(self) -> np.ndarray:
+        """CDF of the sampling distribution; pi = scores / total is formed
+        only here and, by `draw_plan`, at the drawn rows."""
+        cdf = np.divide(self.scores, self.total)
+        np.cumsum(cdf, out=cdf)
+        cdf /= cdf[-1]
+        return cdf
 
 
 @dataclass(frozen=True)

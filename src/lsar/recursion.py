@@ -15,6 +15,14 @@ each of those fits uses:
 For a target order p on a series of length n, intermediate order q runs on
 the window of the first ``n - p + q`` observations, so every score vector
 in the sweep has the same length ``n - p``.
+
+Order q refreshes, forming new scores and their CDF, when r/q <= the sweep's
+``refresh_ratio``, r being the last order that did; the default 1.0 is the
+paper's every order.  The orders in between draw from the last CDF, a
+beta-approximation that the size rule of Drineas et al. (JMLR 2012) allows,
+and solve the reduced problem only.  A refresh at q adds q - r times the
+normalized squared residual of order q - 1, the only full-design residual
+the sweep computes, and a stale draw that is rank deficient forces one.
 """
 
 from __future__ import annotations
@@ -40,7 +48,9 @@ class RecursionState:
     """Carried state of one recursion sweep after finishing order ``p``.
 
     The residuals of ``fit``, the order-p fit on the current window, are
-    what advances the scores to order p + 1 on a window one longer.
+    what advances the scores to order p + 1 on a window one longer; they are
+    None when order p + 1 is not scheduled to refresh.  ``scores`` are those
+    the plan was drawn from, formed at this order when ``refreshed``.
     """
 
     p: int
@@ -48,6 +58,7 @@ class RecursionState:
     fit: ARFit
     window: int
     sample_size: int
+    refreshed: bool
 
 
 def ar1_scores(series: TimeSeries) -> LeverageScores:
@@ -73,15 +84,15 @@ def _check_residual(fit: ARFit, window_norm: float):
         raise ZeroResidualError(fit.order)
 
 
-def _advance(scores: LeverageScores, fit: ARFit, clamp: bool):
-    """Score update: previous scores plus normalized squared residuals.
+def _advance(scores: LeverageScores, fit: ARFit, clamp: bool, weight: int = 1):
+    """Score update: scores plus ``weight`` times normalized squared residuals.
 
     Approximate scores can leave [0, 1] through sampled-residual noise only;
     with ``clamp`` they are clamped before the distribution is formed and
     the clamp count is reported.  Exact scores are never clamped.
     """
     updated = np.square(fit.residuals)
-    updated /= fit.residual_norm**2
+    updated /= fit.residual_norm**2 / weight  # exact for weight 1
     updated += scores.scores
     clamp_count = 0
     # Both terms are nonnegative, so only the upper bound can be crossed.
@@ -98,6 +109,7 @@ def approximate_sweep(
     target_order: int,
     size_rule: SampleSizeRule | None = None,
     seed: int = 0,
+    refresh_ratio: float = 1.0,
 ) -> Iterator[RecursionState]:
     """Run the recursion up to ``target_order``, yielding the state per order.
 
@@ -107,18 +119,20 @@ def approximate_sweep(
 
     Without ``size_rule`` every fit reads the first `nested_factors` factor:
     all rows, so the scores are exact.  With one, every fit is a reduced
-    solve on rows drawn from the current scores, as many as ``size_rule``
-    sets at the failure probability ``size_rule.delta_at(q, target_order)``.
-    A rank-deficient reduced system is resampled once with a fresh seed
-    offset before erroring.  Deterministic given ``seed``.
+    solve on rows drawn from the last refreshed scores, as many as
+    ``size_rule`` sets at the failure probability
+    ``size_rule.delta_at(q, target_order)``.  A rank-deficient reduced system
+    is resampled once with a fresh seed offset before erroring.  The exact
+    sweep refreshes every order.  Deterministic given ``seed``.
     """
     n = series.n
     if target_order < 1 or n - target_order < 1:
         raise DataError(f"bad sweep bounds: target {target_order}, n {n}")
-    scores = fit = None
+    last_refresh, scores, fit, cdf = 0, None, None, None
     factor = next(nested_factors(series, target_order)) if size_rule is None else None
     for q in range(1, target_order + 1):
         window = series.prefix(n - target_order + q)
+        refresh = last_refresh / q <= refresh_ratio
         if q == 1:
             scores = ar1_scores(window)
             # |window|^2, grown by one square per order below.
@@ -126,27 +140,46 @@ def approximate_sweep(
         else:
             last = float(window.values[-1])
             window_norm2 += last * last
-            # A perfect previous fit makes the increment 0/0; abort rather
-            # than mask it, since every later order would inherit the damage.
-            _check_residual(fit, math.sqrt(window_norm2))
-            scores = _advance(scores, fit, clamp=size_rule is not None)
-            # Spent: once the consumer has let go of the last state, as
-            # run_lsar does, its arrays are freed before this order's solve.
-            fit = None
         design = make_design(window, q)
-        if size_rule is None:
-            s = design.row_count
-            fit = fit_from_coefficients(design, solve_ols(factor[:q + 1, :q + 1])[::-1])
-        else:
+        while True:  # twice only when a draw from stale scores is rank deficient
+            if q > 1 and refresh:
+                if fit.residuals is None:  # a refresh forced below
+                    fit = fit_from_coefficients(make_design(series.prefix(window.n - 1), q - 1),
+                                                fit.coefficients)
+                # A perfect previous fit makes the increment 0/0; abort rather
+                # than mask it, since every later order would inherit the damage.
+                _check_residual(fit, math.sqrt(window_norm2))
+                cdf = None  # freed before the new scores are formed
+                scores = _advance(scores, fit, size_rule is not None, q - last_refresh)
+                # Spent: once the consumer has let go of the last state, as
+                # run_lsar does, its arrays are freed before this order's solve.
+                fit = None
+            last_refresh = q if refresh else last_refresh
+            if size_rule is None:
+                s = design.row_count
+                fit = fit_from_coefficients(design, solve_ols(factor[:q + 1, :q + 1])[::-1])
+                break
             s = sample_size(size_rule, q, window.n, size_rule.delta_at(q, target_order))
-            fit = _reduced_fit_with_retry(design, scores, s, seed, q)
-        yield RecursionState(p=q, scores=scores, fit=fit, window=window.n, sample_size=s)
+            cdf = scores.cdf() if cdf is None else cdf
+            # For a refresh next; at the last order only if every order refreshes.
+            residuals = last_refresh / min(q + 1, target_order) <= refresh_ratio
+            try:
+                fit = _reduced_fit_with_retry(design, scores, cdf, s, seed, q, residuals)
+                break
+            except RankDeficiencyError:
+                if refresh:
+                    raise
+                # Stale scores can starve rows this order needs, as after an
+                # outlier or a perfect fit: refresh this order and draw again.
+                refresh = True
+        yield RecursionState(p=q, scores=scores, fit=fit, window=window.n, sample_size=s,
+                             refreshed=refresh)
 
 
-def _reduced_fit_with_retry(design, scores, s, seed, q):
+def _reduced_fit_with_retry(design, scores, cdf, s, seed, q, residuals):
     # With-replacement draws can hit a degenerate row multiset; one retry
     # with a fresh seed offset keeps the pipeline deterministic given seed.
     try:
-        return reduced_fit(design, draw_plan(scores, s, seed, q, 0))
+        return reduced_fit(design, draw_plan(scores, s, seed, q, 0, cdf=cdf), residuals)
     except RankDeficiencyError:
-        return reduced_fit(design, draw_plan(scores, s, seed, q, 1))
+        return reduced_fit(design, draw_plan(scores, s, seed, q, 1, cdf=cdf), residuals)

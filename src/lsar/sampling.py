@@ -140,24 +140,31 @@ def sample_size(rule: SampleSizeRule, p: int, n: int, delta: float) -> int:
     m_rows = n - p
     if s > m_rows:
         if rule.mode is SizeMode.FRACTION:
-            warnings.warn(
-                f"sample size {s} exceeds row count {m_rows}; clamping",
-                stacklevel=2,
-            )
+            # The same text at every order, so the CLI says it once.
+            warnings.warn(f"sample size at fraction {rule.fraction} exceeds the row "
+                          "count; clamped to the row count", stacklevel=2)
             s = m_rows
         else:
-            # ln(p / delta) is infinite only when p / delta overflows.
-            cause = "delta" if math.log(p / delta) == math.inf else "epsilon"
+            # ln(p / delta) is infinite only when p / delta overflows.  A given
+            # beta is the cause when beta = 1 would give a size that fits.
+            log = math.log(p / delta)
+            cause = "epsilon"
+            if log == math.inf:
+                cause = "delta"
+            elif rule.beta is not None and rule.constant * p * log / rule.epsilon**2 <= m_rows:
+                cause = "beta"
             raise SampleSizeError(
-                f"theoretical sample size {s} exceeds row count {m_rows}; "
+                f"theoretical sample size {s:.3g} exceeds row count {m_rows}; "
                 f"{cause} is too small for this data size"
             )
     return s
 
 
-def draw_plan(scores: LeverageScores, s: int, *seed_words) -> SamplingPlan:
+def draw_plan(scores: LeverageScores, s: int, *seed_words,
+              cdf: np.ndarray | None = None) -> SamplingPlan:
     """Draw ``s`` i.i.d. rows from the score distribution, with replacement.
 
+    ``cdf`` is ``scores.cdf()``, built here when not given.
     Deterministic given the seed words.
     """
     if s < 1:
@@ -165,10 +172,7 @@ def draw_plan(scores: LeverageScores, s: int, *seed_words) -> SamplingPlan:
     # Inverse-CDF draws, the computation ``Generator.choice(p=pi)`` performs
     # for pi = scores / total, without its re-checks that pi is finite,
     # nonnegative and sums to one: ``LeverageScores`` guarantees all three.
-    # pi itself is formed only in the CDF buffer and at the drawn rows.
-    cdf = np.divide(scores.scores, scores.total)
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
+    cdf = scores.cdf() if cdf is None else cdf
     uniforms = make_rng(*seed_words).random(s)
     # The search runs on the sorted keys, where each lookup starts from the
     # previous one, and the hits are scattered back into draw order.
@@ -179,15 +183,18 @@ def draw_plan(scores: LeverageScores, s: int, *seed_words) -> SamplingPlan:
     return SamplingPlan(indices, weights)
 
 
-def reduced_fit(design: ARDesign, plan: SamplingPlan) -> ARFit:
+def reduced_fit(design: ARDesign, plan: SamplingPlan, residuals: bool = True) -> ARFit:
     """Weighted OLS on the sampled rows; residuals on the full design.
 
     The sampled rows of ``[X | y]``, scaled by the plan weights, are
-    folded block by block into one R factor for the solve.
+    folded block by block into one R factor for the solve.  Without
+    ``residuals`` that O(n) pass is skipped, and the fit has NaN norms.
     """
     if plan.indices.size and (plan.indices.min() < 0 or plan.indices.max() >= design.row_count):
         raise DistributionError(
             f"plan indices out of range for design with {design.row_count} rows"
         )
     phi = solve_ols(augmented_r(design, plan.indices, plan.weights))
+    if not residuals:
+        return ARFit(design.p, phi, None, math.nan, math.nan)
     return fit_from_coefficients(design, phi)

@@ -413,6 +413,49 @@ class TestLsar:
             assert not flagged([scale, -scale])
             assert flagged([3.0 * scale, 2.0 * scale])
 
+    @pytest.mark.parametrize("command", [["lsar"], ["pacf", "--sampled"]])
+    def test_report_records_the_refreshes(self, tmp_path, command):
+        y = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 20_000, seed=5))
+        path = series_file(tmp_path, y.values)
+        out = tmp_path / "o.csv"
+        assert run(command + ["--input", path, "--pbar", "10", "--fraction", "0.05",
+                              "--out", str(out)]) == 0
+        with open(out) as fh:
+            meta = dict(ln[2:].rstrip("\n").split("=", 1) for ln in fh if ln.startswith("# "))
+        assert meta["refresh_orders"] == "1,2,3,4,5,7,9"
+        assert float(meta["refresh_ratio"]) == 0.8
+
+    def test_skipped_residuals_are_nan(self, tmp_path):
+        # Only orders 1-4, 6 and 8 precede a refresh (at 2-5, 7 and 9).
+        y = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 20_000, seed=5))
+        path = series_file(tmp_path, y.values)
+        out = tmp_path / "o.csv"
+        assert run(["lsar", "--input", path, "--pbar", "10", "--fraction", "0.05",
+                    "--out", str(out)]) == 0
+        rows = [ln.strip().split(",") for ln in body_lines(out)[1:]]
+        assert [r[4] == "nan" for r in rows] == [p not in (1, 2, 3, 4, 6, 8)
+                                                 for p in range(1, 11)]
+
+    def test_tiny_beta_is_blamed(self, tmp_path, capsys):
+        path = series_file(tmp_path, generate_ar(ARGeneratorSpec(
+            np.array([0.5]), 1.0, 50, seed=1)).values)
+        code = run(["lsar", "--input", path, "--pbar", "3", "--epsilon", "0.999",
+                    "--beta", "1e-300"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "theoretical sample size 9.23e+300 exceeds row count 47; beta is too small" in err
+
+    def test_clamped_sample_size_is_said_once(self, tmp_path, capsys):
+        path = series_file(tmp_path, generate_ar(ARGeneratorSpec(
+            np.array([0.5]), 1.0, 50, seed=1)).values)
+        code = run(["pacf", "--sampled", "--input", path, "--pbar", "3", "--fraction", "0.999"])
+        assert code == 0
+        captured = capsys.readouterr()
+        said = [ln for ln in captured.out.splitlines() if ln.startswith("lsar: warning=")]
+        assert said == ["lsar: warning=sample size at fraction 0.999 exceeds the row count; "
+                        "clamped to the row count"]
+        assert "UserWarning" not in captured.err
+
     def test_zero_residual_abort_reported(self, tmp_path, capsys):
         path = series_file(tmp_path, (0.5 ** np.arange(200)).tolist())
         code = run(["lsar", "--input", path, "--pbar", "5",
@@ -825,17 +868,18 @@ class TestFlags:
     THEORETICAL = {"epsilon", "delta0", "beta", "constant", "delta_mode", "rng", "seed"}
     FRACTION = {"fraction", "rng", "seed"}
     LSAR = {"command", "n", "pbar", "bandwidth_multiplier", "selected_order",
-            "total_wall_time"} | RUNTIME
+            "total_wall_time", "refresh_ratio", "refresh_orders"} | RUNTIME
     PACF = {"command", "mode", "n", "pbar", "effective_sample", "selected_order"}
+    REFRESH = {"refresh_ratio", "refresh_orders"}
     EVAL = {"command", "n"} | RUNTIME
 
     METADATA_CASES = [
         (["lsar", "--pbar", "3", "--fraction", "0.1"], LSAR | FRACTION),
         (["lsar", "--pbar", "3", "--beta", "1"], LSAR | THEORETICAL),
         (["pacf", "--sampled", "--pbar", "3", "--fraction", "0.1"],
-         PACF | {"bandwidth_multiplier"} | FRACTION),
+         PACF | {"bandwidth_multiplier"} | REFRESH | FRACTION),
         (["pacf", "--sampled", "--pbar", "3", "--beta", "1"],
-         PACF | {"bandwidth_multiplier"} | THEORETICAL),
+         PACF | {"bandwidth_multiplier"} | REFRESH | THEORETICAL),
         (["pacf", "--exact", "--pbar", "3"], PACF),
         (["eval", "mpre", "--pbar", "3", "--fraction", "0.1"], EVAL | FRACTION),
         (["eval", "mpre", "--pbar", "3", "--beta", "1"], EVAL | THEORETICAL),

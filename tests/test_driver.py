@@ -17,6 +17,8 @@ from lsar import (
     make_design,
     run_lsar,
 )
+import lsar.series
+from lsar.driver import REFRESH_RATIO
 from lsar.recursion import approximate_sweep
 
 FRACTION_RULE = SampleSizeRule(SizeMode.FRACTION, fraction=0.05)
@@ -31,27 +33,30 @@ class TestRunLsar:
     def test_previous_residuals_are_freed_before_the_next_draw(self, monkeypatch):
         # Memory stays at one order's O(n) arrays plus one row block of the
         # solve: when order q draws its plan, no earlier order's residual
-        # vector is alive.
+        # vector is alive.  Only the orders before a refresh have one.
         import lsar.recursion
 
         residuals = []
         alive_at_draw = []
         real_fit, real_draw = lsar.recursion.reduced_fit, lsar.recursion.draw_plan
 
-        def fit_spy(design, plan):
-            fit = real_fit(design, plan)
-            residuals.append(weakref.ref(fit.residuals))
+        def fit_spy(design, plan, *args):
+            fit = real_fit(design, plan, *args)
+            if fit.residuals is not None:
+                residuals.append(weakref.ref(fit.residuals))
             return fit
 
-        def draw_spy(*args):
+        def draw_spy(*args, **kwargs):
             alive_at_draw.append(sum(ref() is not None for ref in residuals))
-            return real_draw(*args)
+            return real_draw(*args, **kwargs)
 
         monkeypatch.setattr(lsar.recursion, "reduced_fit", fit_spy)
         monkeypatch.setattr(lsar.recursion, "draw_plan", draw_spy)
         y = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 5000, seed=3))
-        run_lsar(y, LsarConfig(max_order=6, size_rule=FRACTION_RULE, seed=0))
-        assert alive_at_draw == [0] * 6
+        run_lsar(y, LsarConfig(max_order=8, size_rule=FRACTION_RULE, seed=0))
+        assert alive_at_draw == [0] * 8
+        # Orders 1-4 and 6 come before the refreshes at 2-5 and 7.
+        assert len(residuals) == 5
 
     def test_noiseless_recurrence_aborts_after_perfect_fit(self):
         y = TimeSeries(0.5 ** np.arange(10_000, dtype=float))
@@ -173,3 +178,110 @@ class TestRunLsar:
             with pytest.raises(DataError, match="positive and finite"):
                 LsarConfig(max_order=5, size_rule=FRACTION_RULE,
                            bandwidth_multiplier=multiplier)
+
+
+AR2 = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 20_000, seed=5))
+SCHEDULE_40 = [1, 2, 3, 4, 5, 7, 9, 12, 15, 19, 24, 30, 38]
+
+
+def noiseless_ar5(n=10_000):
+    phi = np.array([0.5, -0.3, 0.2, 0.1, -0.15])
+    y = np.zeros(n)
+    y[:5] = [1.0, -0.5, 0.7, 0.2, -0.9]
+    for t in range(5, n):
+        y[t] = phi @ y[t - 5:t][::-1]
+    return TimeSeries(y)
+
+
+class TestLazyRefresh:
+    @pytest.mark.parametrize("pbar, orders", [
+        (40, SCHEDULE_40),
+        (100, SCHEDULE_40 + [48, 60, 75, 94]),
+    ])
+    def test_geometric_schedule(self, pbar, orders):
+        result = run_lsar(AR2, LsarConfig(max_order=pbar, size_rule=FRACTION_RULE, seed=1))
+        assert [r.p for r in result.per_order_log if r.refreshed] == orders
+
+    def test_one_residual_pass_per_refresh_plus_the_final_fit(self, monkeypatch):
+        # 12 orders precede a refresh at pbar = 40, and the selected order's
+        # fit is recomputed once; every order of the full recursion took one.
+        calls = []
+        real_apply = lsar.series.ARDesign.apply
+
+        def apply_spy(design, phi):
+            calls.append(design.p)
+            return real_apply(design, phi)
+
+        monkeypatch.setattr(lsar.series.ARDesign, "apply", apply_spy)
+        cfg = LsarConfig(max_order=40, size_rule=FRACTION_RULE, seed=1, bandwidth_multiplier=2.0)
+        result = run_lsar(AR2, cfg)
+        assert result.selected_order == 2
+        assert calls == [q - 1 for q in SCHEDULE_40[1:]] + [2]
+
+    def test_first_five_orders_match_the_every_order_sweep(self, monkeypatch):
+        import lsar.recursion
+
+        plans = []
+        real_draw = lsar.recursion.draw_plan
+
+        def draw_spy(*args, **kwargs):
+            plans.append(real_draw(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(lsar.recursion, "draw_plan", draw_spy)
+        cfg = LsarConfig(max_order=8, size_rule=FRACTION_RULE, seed=2)
+        lazy = run_lsar(AR2, cfg).per_order_log
+        lazy_plans, plans[:] = plans[:], []
+        full = list(approximate_sweep(AR2, 8, cfg.size_rule, cfg.seed))
+        for q in range(5):
+            assert np.array_equal(lazy_plans[q].indices, plans[q].indices)
+            assert np.array_equal(lazy_plans[q].weights, plans[q].weights)
+            assert lazy[q].pacf_estimate == float(full[q].fit.coefficients[-1])
+            assert lazy[q].sample_size == full[q].sample_size
+        # Order 6 draws from the order-5 scores, not from fresh ones.
+        assert not np.array_equal(lazy_plans[5].indices, plans[5].indices)
+
+    def test_report_marks_what_was_skipped(self):
+        result = run_lsar(AR2, LsarConfig(max_order=40, size_rule=FRACTION_RULE, seed=1))
+        before_refresh = {q - 1 for q in SCHEDULE_40[1:]}
+        for r in result.per_order_log:
+            assert math.isnan(r.residual_norm) == (r.p not in before_refresh)
+
+    def test_clamps_are_counted_at_refreshes_only(self):
+        # The rows holding a 100-sigma spike get scores above 1, which are
+        # clamped; the stale orders draw from those clamped scores but
+        # report no clamps of their own.
+        y = np.random.default_rng(0).normal(size=4000)
+        y[1000] = 100.0
+        series = TimeSeries(y)
+        log = run_lsar(series, LsarConfig(max_order=10, size_rule=FRACTION_RULE)).per_order_log
+        states = approximate_sweep(series, 10, FRACTION_RULE, 0, REFRESH_RATIO)
+        stale = [s.scores.clamp_count for s in states if not s.refreshed]
+        assert stale and any(stale)
+        assert all(r.clamp_count == 0 for r in log if not r.refreshed)
+        assert any(r.clamp_count for r in log if r.refreshed)
+
+    def test_rank_deficient_stale_draw_forces_a_refresh(self):
+        # At order 6 the order-5 scores put nearly all mass on the five rows
+        # holding the spike, too few for six columns: the sweep refreshes
+        # there, off the schedule, instead of failing.
+        y = np.random.default_rng(0).normal(size=4000)
+        y[1000] = 1e4
+        result = run_lsar(TimeSeries(y), LsarConfig(max_order=10, size_rule=FRACTION_RULE))
+        refreshed = [r.p for r in result.per_order_log if r.refreshed]
+        assert len(result.per_order_log) == 10
+        assert 6 in refreshed and set(refreshed) > {1, 2, 3, 4, 5, 7, 9}
+
+    def test_noiseless_ar5_abort_names_the_perfect_order(self):
+        # The order-5 fit is perfect, but order 6 does not refresh, so no
+        # residual checks it there.  Its stale draw is rank deficient (the
+        # lag-1 column is a combination of the others), which forces the
+        # refresh that finds the zero residual: the abort names order 5, as
+        # when every order refreshes.
+        cfg = LsarConfig(max_order=10, size_rule=FRACTION_RULE, seed=0)
+        result = run_lsar(noiseless_ar5(), cfg)
+        assert result.aborted_at == 5
+        assert "residual norm is zero at order 5" in result.abort_reason
+        assert [r.p for r in result.per_order_log] == [1, 2, 3, 4, 5]
+        assert math.isnan(result.per_order_log[-1].residual_norm)
+        assert result.selected_order == 5

@@ -142,7 +142,7 @@ class TestSampleSize:
 
     def test_fraction_clamps_with_warning(self):
         rule = SampleSizeRule(SizeMode.FRACTION, fraction=0.9)
-        with pytest.warns(UserWarning, match="clamping"):
+        with pytest.warns(UserWarning, match="clamped to the row count"):
             assert sample_size(rule, 8, 10, rule.delta) == 2
 
     def test_theoretical_overflow_errors(self):
@@ -151,6 +151,13 @@ class TestSampleSize:
         )
         with pytest.raises(SampleSizeError, match="epsilon is too small"):
             sample_size(rule, 10, 200, rule.delta)
+
+    def test_tiny_beta_is_blamed(self):
+        # beta = 1 would give 10 rows here, so beta, not epsilon, is the cause.
+        rule = SampleSizeRule(SizeMode.THEORETICAL, epsilon=0.999, beta=1e-300)
+        with pytest.raises(SampleSizeError,
+                           match=r"sample size 9\.23e\+300 exceeds .*; beta is too small"):
+            sample_size(rule, 1, 50, rule.delta)
 
     def test_overflowing_log_blames_delta(self):
         rule = SampleSizeRule(SizeMode.THEORETICAL, epsilon=0.5, beta=1.0)
