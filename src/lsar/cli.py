@@ -230,7 +230,8 @@ def cmd_fit(args) -> int:
     if args.out:
         rows = [(k + 1, float(c)) for k, c in enumerate(fit.coefficients)]
         meta = {"command": "fit", "p": args.p, "n": series.n,
-                "sigma2": fit.noise_variance, "residual_norm": fit.residual_norm}
+                "sigma2": fit.noise_variance, "residual_norm": fit.residual_norm,
+                **runtime_metadata()}
         report.write_csv_report(args.out, ["lag", "phi"], rows, meta)
     return 0
 
@@ -256,7 +257,7 @@ def cmd_pacf(args) -> int:
             for lag, est, band in zip(trace.lags, trace.estimates, trace.bandwidth)
         ]
         meta.update(effective_sample=trace.effective_sample,
-                    selected_order=trace.selected_order, **uncentred)
+                    selected_order=trace.selected_order, **runtime_metadata(), **uncentred)
         report.write_csv_report(args.out, ["lag", "pacf", "bandwidth"], rows, meta)
     return 0
 

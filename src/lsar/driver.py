@@ -10,15 +10,16 @@ The PACF estimate at lag p is taken from the reduced fit of the same
 iteration; computing it before the fit would need a second fitting pass and
 has no support in the error analysis.
 
-Only the orders ``REFRESH_RATIO`` picks refresh the scores (`lsar.recursion`);
-the others record a NaN residual norm and no clamped scores.
+Only the orders ``REFRESH_RATIO`` picks, or a rank-deficient stale draw
+forces, refresh the scores (`lsar.recursion`) and count clamps; each forms
+the residual norm of the order before it, which is NaN at the other orders.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,21 +101,22 @@ def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
                                        REFRESH_RATIO):
             t1 = time.perf_counter()
             band = cfg.bandwidth_multiplier * ZERO_CONFIDENCE_Z / math.sqrt(state.sample_size)
+            if records:  # the norm of the previous order's residual, if formed
+                records[-1] = replace(records[-1], residual_norm=state.residual_norm)
             records.append(OrderRecord(
                 p=state.p, window=state.window, sample_size=state.sample_size,
                 clamp_count=state.scores.clamp_count if state.refreshed else 0,
-                residual_norm=state.fit.residual_norm,
-                pacf_estimate=float(state.fit.coefficients[-1]), bandwidth=band,
-                wall_time=t1 - t0, refreshed=state.refreshed))
-            coefficients.append(state.fit.coefficients)
-            # Let go of this order's scores and residuals before the sweep
-            # computes the next order, so they are freed as soon as it has
-            # advanced the scores.
+                residual_norm=math.nan, pacf_estimate=float(state.coefficients[-1]),
+                bandwidth=band, wall_time=t1 - t0, refreshed=state.refreshed))
+            coefficients.append(state.coefficients)
+            # Let go of this order's scores before the sweep computes the
+            # next order, so they are freed as soon as it has advanced them.
             del state
             t0 = t1
     except ZeroResidualError as err:
         aborted_at = err.order
         abort_reason = str(err)
+        records[-1] = replace(records[-1], residual_norm=err.residual_norm)
 
     estimates = np.array([r.pacf_estimate for r in records])
     bands = np.array([r.bandwidth for r in records])

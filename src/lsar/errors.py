@@ -57,8 +57,9 @@ class RankDeficiencyError(NumericalError):
 class ZeroResidualError(NumericalError):
     """An intermediate fit was exact, so the score recursion is undefined."""
 
-    def __init__(self, order: int):
+    def __init__(self, order: int, residual_norm: float):
         self.order = order
+        self.residual_norm = residual_norm
         super().__init__(
             f"residual norm is zero at order {order}; the leverage-score "
             "recursion increment is undefined"

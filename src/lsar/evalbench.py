@@ -17,8 +17,8 @@ import time
 import numpy as np
 
 from .errors import DataError, RankDeficiencyError
-from .exact import LeverageScores, _check_rank, check_max_lag, exact_leverage, fit_ols, \
-    nested_factors
+from .exact import LeverageScores, _check_rank, check_max_lag, exact_leverage, \
+    fit_from_coefficients, fit_ols, nested_factors
 from .recursion import approximate_sweep
 from .sampling import SampleSizeRule, SamplingPlan, draw_plan, make_rng, reduced_fit
 from .series import TimeSeries, make_design
@@ -27,6 +27,8 @@ LAG_HEADER = ("p", "mpre", "bound_linear", "bound_log", "time_exact", "time_appr
 SIZE_HEADER = ("s", "scheme", "rel_param_err", "resid_ratio", "excluded")
 # Row-sampling schemes of `ratio_study`, in row order.
 SCHEMES = ("leverage", "uniform")
+# `timing_study` discards WARMUP runs, then takes the median of REPETITIONS.
+WARMUP, REPETITIONS = 1, 3
 
 
 def _triangular_spectrum(r: np.ndarray) -> tuple[float, float]:
@@ -157,6 +159,7 @@ def ratio_study(
     full = fit_ols(design)
     phi_norm = float(np.linalg.norm(full.coefficients))
     scores = exact_leverage(design)
+    cdf = scores.cdf()
     rows = []
     for s in sizes:
         for scheme in SCHEMES:
@@ -166,10 +169,10 @@ def ratio_study(
             for rep in range(reps):
                 try:
                     if scheme == "leverage":
-                        plan = draw_plan(scores, s, seed, p, s, rep, 0)
+                        plan = draw_plan(scores, s, seed, p, s, rep, 0, cdf=cdf)
                     else:
                         plan = uniform_plan(design.row_count, s, seed, p, s, rep, 1)
-                    fit = reduced_fit(design, plan)
+                    fit = fit_from_coefficients(design, reduced_fit(design, plan))
                 except RankDeficiencyError:
                     excluded += 1
                     continue
@@ -191,18 +194,16 @@ def timing_study(
     max_lag: int,
     size_rule: SampleSizeRule,
     seed: int,
-    repetitions: int = 3,
-    warmup: int = 1,
 ) -> list[tuple[int, float, float]]:
     """Per-lag wall time of exact scores versus the approximate sweep.
 
-    Monotonic clock, ``warmup`` discarded runs, then the median of
-    ``repetitions`` runs per lag.  Row format: (p, time_exact, time_approx).
+    Monotonic clock, ``WARMUP`` discarded runs, then the median of
+    ``REPETITIONS`` runs per lag.  Row format: (p, time_exact, time_approx).
     """
     check_max_lag(max_lag, series.n)
     exact_runs = []
     approx_runs = []
-    for run in range(warmup + repetitions):
+    for run in range(WARMUP + REPETITIONS):
         exact_times = []
         for p in range(1, max_lag + 1):
             window = series.prefix(series.n - max_lag + p)
@@ -215,7 +216,7 @@ def timing_study(
             t1 = time.perf_counter()
             approx_times.append(t1 - t0)
             t0 = t1
-        if run >= warmup:
+        if run >= WARMUP:
             exact_runs.append(exact_times)
             approx_runs.append(approx_times)
     exact_median = np.median(np.array(exact_runs), axis=0)

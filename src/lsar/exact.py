@@ -48,20 +48,18 @@ class ARFit:
     """One fitted AR(p) regression: coefficients, residuals and noise MSE.
 
     ``residuals`` are always evaluated on the full design, even when the
-    coefficients came from a sampled (reduced) solve.  A reduced fit that
-    skipped that pass has None, and NaN for the norm and noise variance.
+    coefficients came from a sampled (reduced) solve.
     """
 
     order: int
     coefficients: np.ndarray
-    residuals: np.ndarray | None
+    residuals: np.ndarray
     residual_norm: float
     noise_variance: float
 
     def __post_init__(self):
         self.coefficients.setflags(write=False)
-        if self.residuals is not None:
-            self.residuals.setflags(write=False)
+        self.residuals.setflags(write=False)
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ Order q refreshes, forming new scores and their CDF, when r/q <= the sweep's
 ``refresh_ratio``, r being the last order that did; the default 1.0 is the
 paper's every order.  The orders in between draw from the last CDF, a
 beta-approximation that the size rule of Drineas et al. (JMLR 2012) allows,
-and solve the reduced problem only.  A refresh at q adds q - r times the
-normalized squared residual of order q - 1, the only full-design residual
-the sweep computes, and a stale draw that is rank deficient forces one.
+and solve the reduced problem only.  A refresh at q, scheduled or forced by a
+rank-deficient stale draw, adds q - r times the normalized squared residual
+of order q - 1, the only full-design residual the sweep forms, and drops it.
 """
 
 from __future__ import annotations
@@ -47,15 +47,16 @@ ZERO_RESIDUAL_RTOL = 1e-14
 class RecursionState:
     """Carried state of one recursion sweep after finishing order ``p``.
 
-    The residuals of ``fit``, the order-p fit on the current window, are
-    what advances the scores to order p + 1 on a window one longer; they are
-    None when order p + 1 is not scheduled to refresh.  ``scores`` are those
-    the plan was drawn from, formed at this order when ``refreshed``.
+    ``coefficients`` are the order-p solve on the current window.  ``scores``
+    are those the plan was drawn from, formed at this order when
+    ``refreshed``; ``residual_norm`` is the norm of the order-(p - 1)
+    residual that refresh formed, NaN at order 1 and without a refresh.
     """
 
     p: int
     scores: LeverageScores
-    fit: ARFit
+    coefficients: np.ndarray
+    residual_norm: float
     window: int
     sample_size: int
     refreshed: bool
@@ -81,7 +82,7 @@ def ar1_scores(series: TimeSeries) -> LeverageScores:
 
 def _check_residual(fit: ARFit, window_norm: float):
     if fit.residual_norm <= ZERO_RESIDUAL_RTOL * window_norm:
-        raise ZeroResidualError(fit.order)
+        raise ZeroResidualError(fit.order, fit.residual_norm)
 
 
 def _advance(scores: LeverageScores, fit: ARFit, clamp: bool, weight: int = 1):
@@ -114,8 +115,8 @@ def approximate_sweep(
     """Run the recursion up to ``target_order``, yielding the state per order.
 
     At order q the window holds the first ``n - target_order + q``
-    observations.  The yielded state's fit is the order-q solve on that
-    window; its residuals feed the order q + 1 score update.
+    observations.  The yielded state's coefficients are the order-q solve on
+    that window; the next refresh forms their residuals.
 
     Without ``size_rule`` every fit reads the first `nested_factors` factor:
     all rows, so the scores are exact.  With one, every fit is a reduced
@@ -128,11 +129,12 @@ def approximate_sweep(
     n = series.n
     if target_order < 1 or n - target_order < 1:
         raise DataError(f"bad sweep bounds: target {target_order}, n {n}")
-    last_refresh, scores, fit, cdf = 0, None, None, None
+    last_refresh, scores, phi, cdf = 0, None, None, None
     factor = next(nested_factors(series, target_order)) if size_rule is None else None
     for q in range(1, target_order + 1):
         window = series.prefix(n - target_order + q)
         refresh = last_refresh / q <= refresh_ratio
+        residual_norm = math.nan
         if q == 1:
             scores = ar1_scores(window)
             # |window|^2, grown by one square per order below.
@@ -143,28 +145,23 @@ def approximate_sweep(
         design = make_design(window, q)
         while True:  # twice only when a draw from stale scores is rank deficient
             if q > 1 and refresh:
-                if fit.residuals is None:  # a refresh forced below
-                    fit = fit_from_coefficients(make_design(series.prefix(window.n - 1), q - 1),
-                                                fit.coefficients)
+                fit = fit_from_coefficients(make_design(series.prefix(window.n - 1), q - 1), phi)
                 # A perfect previous fit makes the increment 0/0; abort rather
                 # than mask it, since every later order would inherit the damage.
                 _check_residual(fit, math.sqrt(window_norm2))
                 cdf = None  # freed before the new scores are formed
                 scores = _advance(scores, fit, size_rule is not None, q - last_refresh)
-                # Spent: once the consumer has let go of the last state, as
-                # run_lsar does, its arrays are freed before this order's solve.
-                fit = None
+                residual_norm = fit.residual_norm
+                del fit  # the residuals are freed before this order's solve
             last_refresh = q if refresh else last_refresh
             if size_rule is None:
                 s = design.row_count
-                fit = fit_from_coefficients(design, solve_ols(factor[:q + 1, :q + 1])[::-1])
+                phi = solve_ols(factor[:q + 1, :q + 1])[::-1]
                 break
             s = sample_size(size_rule, q, window.n, size_rule.delta_at(q, target_order))
             cdf = scores.cdf() if cdf is None else cdf
-            # For a refresh next; at the last order only if every order refreshes.
-            residuals = last_refresh / min(q + 1, target_order) <= refresh_ratio
             try:
-                fit = _reduced_fit_with_retry(design, scores, cdf, s, seed, q, residuals)
+                phi = _reduced_fit_with_retry(design, scores, cdf, s, seed, q)
                 break
             except RankDeficiencyError:
                 if refresh:
@@ -172,14 +169,14 @@ def approximate_sweep(
                 # Stale scores can starve rows this order needs, as after an
                 # outlier or a perfect fit: refresh this order and draw again.
                 refresh = True
-        yield RecursionState(p=q, scores=scores, fit=fit, window=window.n, sample_size=s,
-                             refreshed=refresh)
+        yield RecursionState(p=q, scores=scores, coefficients=phi, residual_norm=residual_norm,
+                             window=window.n, sample_size=s, refreshed=refresh)
 
 
-def _reduced_fit_with_retry(design, scores, cdf, s, seed, q, residuals):
+def _reduced_fit_with_retry(design, scores, cdf, s, seed, q):
     # With-replacement draws can hit a degenerate row multiset; one retry
     # with a fresh seed offset keeps the pipeline deterministic given seed.
     try:
-        return reduced_fit(design, draw_plan(scores, s, seed, q, 0, cdf=cdf), residuals)
+        return reduced_fit(design, draw_plan(scores, s, seed, q, 0, cdf=cdf))
     except RankDeficiencyError:
-        return reduced_fit(design, draw_plan(scores, s, seed, q, 1, cdf=cdf), residuals)
+        return reduced_fit(design, draw_plan(scores, s, seed, q, 1, cdf=cdf))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DistributionError, SampleSizeError
-from .exact import ARFit, LeverageScores, augmented_r, fit_from_coefficients, solve_ols
+from .exact import LeverageScores, augmented_r, solve_ols
 from .series import ARDesign
 
 RNG_NAME = "philox"
@@ -80,7 +80,7 @@ class SampleSizeRule:
     ``beta`` is None it defaults to the misestimation-factor form
     ``max(DEFAULT_BETA_FLOOR, 1 - DEFAULT_BETA_COEFF * p * sqrt(epsilon))``.
 
-    fraction: ``s = ceil(fraction * n)``.
+    fraction: ``s = ceil(fraction * n)``; only this mode takes a fraction.
 
     Both modes are floored at p + 1 so the reduced system is determined.
     The theoretical size at order q of a sweep takes delta from
@@ -107,6 +107,8 @@ class SampleSizeRule:
                 raise SampleSizeError(
                     f"fraction mode needs fraction in (0,1), got {self.fraction}"
                 )
+        elif self.fraction is not None:
+            raise SampleSizeError(f"theoretical mode takes no fraction, got {self.fraction}")
         elif not 0 < self.constant < math.inf:
             raise SampleSizeError(f"constant must be positive and finite, got {self.constant}")
 
@@ -160,11 +162,10 @@ def sample_size(rule: SampleSizeRule, p: int, n: int, delta: float) -> int:
     return s
 
 
-def draw_plan(scores: LeverageScores, s: int, *seed_words,
-              cdf: np.ndarray | None = None) -> SamplingPlan:
+def draw_plan(scores: LeverageScores, s: int, *seed_words, cdf: np.ndarray) -> SamplingPlan:
     """Draw ``s`` i.i.d. rows from the score distribution, with replacement.
 
-    ``cdf`` is ``scores.cdf()``, built here when not given.
+    ``cdf`` is ``scores.cdf()``, which callers build once per set of scores.
     Deterministic given the seed words.
     """
     if s < 1:
@@ -172,7 +173,6 @@ def draw_plan(scores: LeverageScores, s: int, *seed_words,
     # Inverse-CDF draws, the computation ``Generator.choice(p=pi)`` performs
     # for pi = scores / total, without its re-checks that pi is finite,
     # nonnegative and sums to one: ``LeverageScores`` guarantees all three.
-    cdf = scores.cdf() if cdf is None else cdf
     uniforms = make_rng(*seed_words).random(s)
     # The search runs on the sorted keys, where each lookup starts from the
     # previous one, and the hits are scattered back into draw order.
@@ -183,18 +183,15 @@ def draw_plan(scores: LeverageScores, s: int, *seed_words,
     return SamplingPlan(indices, weights)
 
 
-def reduced_fit(design: ARDesign, plan: SamplingPlan, residuals: bool = True) -> ARFit:
-    """Weighted OLS on the sampled rows; residuals on the full design.
+def reduced_fit(design: ARDesign, plan: SamplingPlan) -> np.ndarray:
+    """Coefficients of the weighted OLS on the sampled rows.
 
     The sampled rows of ``[X | y]``, scaled by the plan weights, are
-    folded block by block into one R factor for the solve.  Without
-    ``residuals`` that O(n) pass is skipped, and the fit has NaN norms.
+    folded block by block into one R factor for the solve.  No O(n) pass
+    is made: `fit_from_coefficients` forms the full-design residuals.
     """
     if plan.indices.size and (plan.indices.min() < 0 or plan.indices.max() >= design.row_count):
         raise DistributionError(
             f"plan indices out of range for design with {design.row_count} rows"
         )
-    phi = solve_ols(augmented_r(design, plan.indices, plan.weights))
-    if not residuals:
-        return ARFit(design.p, phi, None, math.nan, math.nan)
-    return fit_from_coefficients(design, phi)
+    return solve_ols(augmented_r(design, plan.indices, plan.weights))

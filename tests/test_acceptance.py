@@ -35,7 +35,7 @@ from lsar.evalbench import (
     ratio_study,
     timing_study,
 )
-from lsar.exact import augmented_r
+from lsar.exact import augmented_r, fit_from_coefficients
 from lsar.sampling import draw_plan, reduced_fit, sample_size
 
 from conftest import AR20_COEFFS, contaminated_series, hat_diagonal, \
@@ -129,7 +129,7 @@ def test_criterion_3_full_sample_collapse():
         identity = reduced_fit(design, SamplingPlan(np.arange(m), np.ones(m)))
         worst_fit = max(
             worst_fit,
-            float(np.max(np.abs(identity.coefficients - full.coefficients))),
+            float(np.max(np.abs(identity - full.coefficients))),
         )
     # The sweep with full-data fits against the independent Q-free hat
     # diagonal of the same design.
@@ -167,8 +167,10 @@ def test_criterion_4_sampled_fit_error_monte_carlo():
     phi_norm = float(np.linalg.norm(full.coefficients))
     hits_resid = 0
     hits_param = 0
+    cdf = scores.cdf()
     for trial in range(100):
-        fit = reduced_fit(design, draw_plan(scores, s, 1234, trial))
+        phi = reduced_fit(design, draw_plan(scores, s, 1234, trial, cdf=cdf))
+        fit = fit_from_coefficients(design, phi)
         hits_resid += fit.residual_norm <= (1 + epsilon) * full.residual_norm
         hits_param += (
             np.linalg.norm(fit.coefficients - full.coefficients)

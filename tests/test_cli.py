@@ -869,7 +869,7 @@ class TestFlags:
     FRACTION = {"fraction", "rng", "seed"}
     LSAR = {"command", "n", "pbar", "bandwidth_multiplier", "selected_order",
             "total_wall_time", "refresh_ratio", "refresh_orders"} | RUNTIME
-    PACF = {"command", "mode", "n", "pbar", "effective_sample", "selected_order"}
+    PACF = {"command", "mode", "n", "pbar", "effective_sample", "selected_order"} | RUNTIME
     REFRESH = {"refresh_ratio", "refresh_orders"}
     EVAL = {"command", "n"} | RUNTIME
 
@@ -881,6 +881,7 @@ class TestFlags:
         (["pacf", "--sampled", "--pbar", "3", "--beta", "1"],
          PACF | {"bandwidth_multiplier"} | REFRESH | THEORETICAL),
         (["pacf", "--exact", "--pbar", "3"], PACF),
+        (["fit", "--p", "2"], {"command", "p", "n", "sigma2", "residual_norm"} | RUNTIME),
         (["eval", "mpre", "--pbar", "3", "--fraction", "0.1"], EVAL | FRACTION),
         (["eval", "mpre", "--pbar", "3", "--beta", "1"], EVAL | THEORETICAL),
         (["eval", "timing", "--pbar", "3", "--fraction", "0.1"], EVAL | FRACTION),

@@ -32,31 +32,30 @@ def strip_wall_time(record):
 class TestRunLsar:
     def test_previous_residuals_are_freed_before_the_next_draw(self, monkeypatch):
         # Memory stays at one order's O(n) arrays plus one row block of the
-        # solve: when order q draws its plan, no earlier order's residual
-        # vector is alive.  Only the orders before a refresh have one.
+        # solve: when order q draws its plan, no residual vector is alive.
+        # Only a refresh forms one, that of the order before it.
         import lsar.recursion
 
         residuals = []
         alive_at_draw = []
-        real_fit, real_draw = lsar.recursion.reduced_fit, lsar.recursion.draw_plan
+        real_fit, real_draw = lsar.recursion.fit_from_coefficients, lsar.recursion.draw_plan
 
-        def fit_spy(design, plan, *args):
-            fit = real_fit(design, plan, *args)
-            if fit.residuals is not None:
-                residuals.append(weakref.ref(fit.residuals))
+        def fit_spy(design, phi):
+            fit = real_fit(design, phi)
+            residuals.append((design.p, weakref.ref(fit.residuals)))
             return fit
 
         def draw_spy(*args, **kwargs):
-            alive_at_draw.append(sum(ref() is not None for ref in residuals))
+            alive_at_draw.append(sum(ref() is not None for _, ref in residuals))
             return real_draw(*args, **kwargs)
 
-        monkeypatch.setattr(lsar.recursion, "reduced_fit", fit_spy)
+        monkeypatch.setattr(lsar.recursion, "fit_from_coefficients", fit_spy)
         monkeypatch.setattr(lsar.recursion, "draw_plan", draw_spy)
         y = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 5000, seed=3))
         run_lsar(y, LsarConfig(max_order=8, size_rule=FRACTION_RULE, seed=0))
         assert alive_at_draw == [0] * 8
-        # Orders 1-4 and 6 come before the refreshes at 2-5 and 7.
-        assert len(residuals) == 5
+        # The refreshes at 2-5 and 7 form the residuals of orders 1-4 and 6.
+        assert [p for p, _ in residuals] == [1, 2, 3, 4, 6]
 
     def test_noiseless_recurrence_aborts_after_perfect_fit(self):
         y = TimeSeries(0.5 ** np.arange(10_000, dtype=float))
@@ -65,6 +64,7 @@ class TestRunLsar:
         assert result.aborted_at == 1
         assert "residual" in result.abort_reason
         assert len(result.per_order_log) == 1
+        assert result.per_order_log[0].residual_norm < 1e-10
         np.testing.assert_allclose(
             result.per_order_log[0].pacf_estimate, 0.5, atol=1e-10
         )
@@ -136,13 +136,13 @@ class TestRunLsar:
                          bandwidth_multiplier=2.0)
         result = run_lsar(y, cfg)
         assert result.selected_order >= 1
+        # The sweep that refreshes every order forms the selected order's
+        # residual at the next order, on the same window.
         sweep = list(approximate_sweep(y, cfg.max_order, cfg.size_rule, cfg.seed))
-        own = sweep[result.selected_order - 1].fit
-        assert result.final_fit.order == own.order
+        own, following = sweep[result.selected_order - 1: result.selected_order + 1]
+        assert result.final_fit.order == own.p
         assert np.array_equal(result.final_fit.coefficients, own.coefficients)
-        assert np.array_equal(result.final_fit.residuals, own.residuals)
-        assert result.final_fit.residual_norm == own.residual_norm
-        assert result.final_fit.noise_variance == own.noise_variance
+        assert result.final_fit.residual_norm == following.residual_norm
 
     def test_refit_full_uses_full_design(self):
         y = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 20_000, seed=5))
@@ -236,7 +236,7 @@ class TestLazyRefresh:
         for q in range(5):
             assert np.array_equal(lazy_plans[q].indices, plans[q].indices)
             assert np.array_equal(lazy_plans[q].weights, plans[q].weights)
-            assert lazy[q].pacf_estimate == float(full[q].fit.coefficients[-1])
+            assert lazy[q].pacf_estimate == float(full[q].coefficients[-1])
             assert lazy[q].sample_size == full[q].sample_size
         # Order 6 draws from the order-5 scores, not from fresh ones.
         assert not np.array_equal(lazy_plans[5].indices, plans[5].indices)
@@ -268,9 +268,16 @@ class TestLazyRefresh:
         y = np.random.default_rng(0).normal(size=4000)
         y[1000] = 1e4
         result = run_lsar(TimeSeries(y), LsarConfig(max_order=10, size_rule=FRACTION_RULE))
-        refreshed = [r.p for r in result.per_order_log if r.refreshed]
-        assert len(result.per_order_log) == 10
+        log = result.per_order_log
+        refreshed = [r.p for r in log if r.refreshed]
+        assert len(log) == 10
         assert 6 in refreshed and set(refreshed) > {1, 2, 3, 4, 5, 7, 9}
+        # A forced refresh records the residual norm it formed, as a
+        # scheduled one does, on the order before it.
+        assert [r.p for r in log if not math.isnan(r.residual_norm)] == [1, 2, 3, 4, 5, 6, 8, 9]
+        np.testing.assert_allclose([log[4].residual_norm, log[5].residual_norm,
+                                    log[8].residual_norm],
+                                   [10000.199051, 10000.198863, 10000.198704], rtol=1e-9)
 
     def test_noiseless_ar5_abort_names_the_perfect_order(self):
         # The order-5 fit is perfect, but order 6 does not refresh, so no
@@ -283,5 +290,5 @@ class TestLazyRefresh:
         assert result.aborted_at == 5
         assert "residual norm is zero at order 5" in result.abort_reason
         assert [r.p for r in result.per_order_log] == [1, 2, 3, 4, 5]
-        assert math.isnan(result.per_order_log[-1].residual_norm)
+        assert result.per_order_log[-1].residual_norm < 1e-10
         assert result.selected_order == 5

@@ -33,7 +33,7 @@ from lsar.evalbench import (
     uniform_plan,
     _triangular_spectrum,
 )
-from lsar.exact import augmented_r
+from lsar.exact import augmented_r, fit_from_coefficients
 from lsar.sampling import SamplingPlan, reduced_fit
 
 from conftest import contaminated_series
@@ -246,7 +246,8 @@ class TestRatioStudy:
     def test_identity_plan_degenerate_check(self, ar2_series):
         design = make_design(ar2_series, 2)
         m = design.row_count
-        fit = reduced_fit(design, SamplingPlan(np.arange(m), np.ones(m)))
+        fit = fit_from_coefficients(
+            design, reduced_fit(design, SamplingPlan(np.arange(m), np.ones(m))))
         from lsar import fit_ols
 
         full = fit_ols(design)
@@ -259,6 +260,19 @@ class TestRatioStudy:
             assert resid_ratio >= 1.0 - 1e-10
             assert rel_err >= 0.0
             assert excluded >= 0
+
+    def test_cdf_is_built_once(self, ar2_series, monkeypatch):
+        # Every leverage draw of the study samples the same exact scores.
+        calls = []
+        real_cdf = LeverageScores.cdf
+
+        def cdf_spy(scores):
+            calls.append(len(scores))
+            return real_cdf(scores)
+
+        monkeypatch.setattr(LeverageScores, "cdf", cdf_spy)
+        ratio_study(ar2_series, 2, [50, 100], reps=5, seed=0)
+        assert calls == [ar2_series.n - 2]
 
     def test_sizes_must_be_determined(self, ar2_series):
         with pytest.raises(DataError):
@@ -287,7 +301,7 @@ class TestUniformPlan:
 class TestTimingStudy:
     def test_small_series_emits_rows(self):
         y = generate_ar(ARGeneratorSpec(np.array([0.5]), 1.0, 500, seed=2))
-        rows = timing_study(y, 4, FRACTION_RULE, seed=0, repetitions=1, warmup=0)
+        rows = timing_study(y, 4, FRACTION_RULE, seed=0)
         assert [r[0] for r in rows] == [1, 2, 3, 4]
         for _, t_exact, t_approx in rows:
             assert t_exact >= 0.0 and t_approx >= 0.0
@@ -314,8 +328,8 @@ class TestDeltaSchedule:
 
         monkeypatch.setattr(evalbench, "approximate_sweep", recording)
         mpre_curve(y, 5, rule, seed=0)
-        timing_study(y, 5, rule, seed=0, repetitions=1, warmup=0)
-        assert sweeps == [expected, expected]
+        timing_study(y, 5, rule, seed=0)
+        assert sweeps == [expected] * (1 + evalbench.WARMUP + evalbench.REPETITIONS)
 
 
 class TestContaminatedSeries:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lsar.series
 from lsar import (
     ARGeneratorSpec,
     DataError,
@@ -18,7 +19,7 @@ from lsar import (
     make_design,
 )
 from lsar.evalbench import conditioning, conditioning_kappa
-from lsar.exact import ARFit, LeverageScores, augmented_r
+from lsar.exact import ARFit, LeverageScores, augmented_r, fit_from_coefficients
 from lsar.recursion import _advance, approximate_sweep, ar1_scores
 from lsar.sampling import draw_plan, reduced_fit, sample_size
 
@@ -99,9 +100,10 @@ class TestQuasiScores:
         *_, exact = approximate_sweep(ar2_series, 2)
         design = make_design(window, 1)
         hits = 0
+        cdf = prev.cdf()
         for trial in range(50):
-            fit = reduced_fit(design, draw_plan(prev, s, 99, trial))
-            quasi = _advance(prev, fit, clamp=True)
+            phi = reduced_fit(design, draw_plan(prev, s, 99, trial, cdf=cdf))
+            quasi = _advance(prev, fit_from_coefficients(design, phi), clamp=True)
             deviation = np.max(
                 np.abs(quasi.scores - exact.scores.scores) / exact.scores.scores
             )
@@ -130,7 +132,7 @@ class TestFullyApproxScores:
         *_, a = approximate_sweep(ar2_series, 5, FRACTION_RULE, seed=42)
         *_, b = approximate_sweep(ar2_series, 5, FRACTION_RULE, seed=42)
         np.testing.assert_array_equal(a.scores.scores, b.scores.scores)
-        np.testing.assert_array_equal(a.fit.coefficients, b.fit.coefficients)
+        np.testing.assert_array_equal(a.coefficients, b.coefficients)
 
     def test_scores_clamped_and_counted(self, ar2_series):
         *_, state = approximate_sweep(ar2_series, 6, FRACTION_RULE, seed=1)
@@ -151,12 +153,10 @@ class TestFullyApproxScores:
         assert exact.clamp_count == 0
 
     def test_residual_norm_consistent(self, ar2_series):
-        *_, state = approximate_sweep(ar2_series, 3, FRACTION_RULE, seed=2)
-        np.testing.assert_allclose(
-            state.fit.residual_norm**2,
-            float(np.sum(state.fit.residuals**2)),
-            rtol=1e-10,
-        )
+        *_, previous, state = approximate_sweep(ar2_series, 3, FRACTION_RULE, seed=2)
+        design = make_design(ar2_series.prefix(previous.window), previous.p)
+        residuals = design.responses - design.materialize() @ previous.coefficients
+        np.testing.assert_allclose(state.residual_norm, np.linalg.norm(residuals), rtol=1e-10)
 
 
 class TestApproximateSweep:
@@ -182,7 +182,7 @@ class TestApproximateSweep:
         sweep = approximate_sweep(noiseless_half, 3, FRACTION_RULE, seed=0)
         first = next(sweep)
         assert first.p == 1
-        np.testing.assert_allclose(first.fit.coefficients, [0.5], atol=1e-10)
+        np.testing.assert_allclose(first.coefficients, [0.5], atol=1e-10)
         with pytest.raises(ZeroResidualError):
             next(sweep)
 
@@ -191,15 +191,30 @@ class TestApproximateSweep:
             list(approximate_sweep(ar1_series, 0, FRACTION_RULE, seed=0))
 
     @pytest.mark.parametrize("rule", [None, FRACTION_RULE], ids=["full", "sampled"])
+    def test_residuals_are_formed_by_the_next_refresh_only(self, ar2_series, rule,
+                                                          monkeypatch):
+        # Every order refreshes, so the residual of each order but the last
+        # is formed once, by the next order's refresh, and the last's never.
+        calls = []
+        real_apply = lsar.series.ARDesign.apply
+
+        def apply_spy(design, phi):
+            calls.append(design.p)
+            return real_apply(design, phi)
+
+        monkeypatch.setattr(lsar.series.ARDesign, "apply", apply_spy)
+        assert len(list(approximate_sweep(ar2_series, 6, rule, seed=0))) == 6
+        assert calls == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("rule", [None, FRACTION_RULE], ids=["full", "sampled"])
     def test_held_states_survive_next(self, ar2_series, rule):
         # No array the sweep has yielded may change after it advances.
         held = []
         for state in approximate_sweep(ar2_series, 6, rule, seed=0):
             for old, copies in held:
                 np.testing.assert_array_equal(old.scores.scores, copies[0])
-                np.testing.assert_array_equal(old.fit.coefficients, copies[1])
-                np.testing.assert_array_equal(old.fit.residuals, copies[2])
-            arrays = (state.scores.scores, state.fit.coefficients, state.fit.residuals)
+                np.testing.assert_array_equal(old.coefficients, copies[1])
+            arrays = (state.scores.scores, state.coefficients)
             held.append((state, [a.copy() for a in arrays]))
         assert len(held) == 6
 
@@ -217,5 +232,5 @@ class TestScaleInvariance:
             assert len(moved) == len(base) == 6
             for a, b in zip(base, moved):
                 np.testing.assert_array_equal(b.scores.scores, a.scores.scores)
-                np.testing.assert_array_equal(b.fit.coefficients, a.fit.coefficients)
-                assert b.fit.residual_norm == math.ldexp(a.fit.residual_norm, k)
+                np.testing.assert_array_equal(b.coefficients, a.coefficients)
+                assert b.p == 1 or b.residual_norm == math.ldexp(a.residual_norm, k)

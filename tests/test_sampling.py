@@ -17,6 +17,7 @@ from lsar import (
     fit_ols,
     make_design,
 )
+from lsar.exact import fit_from_coefficients
 from lsar.sampling import (
     RNG_NAME,
     distribution_checksum,
@@ -33,19 +34,21 @@ def scores_from_distribution(pi: np.ndarray) -> LeverageScores:
 
 class TestDrawPlan:
     def test_uniform_four_rows_unit_weights(self):
-        plan = draw_plan(scores_from_distribution([1, 1, 1, 1]), 4, 0)
+        scores = scores_from_distribution([1, 1, 1, 1])
+        plan = draw_plan(scores, 4, 0, cdf=scores.cdf())
         np.testing.assert_allclose(plan.weights, np.ones(4))
         assert plan.size == 4
 
     def test_point_mass(self):
-        plan = draw_plan(scores_from_distribution([1.0, 0.0, 0.0]), 3, 0)
+        scores = scores_from_distribution([1.0, 0.0, 0.0])
+        plan = draw_plan(scores, 3, 0, cdf=scores.cdf())
         np.testing.assert_array_equal(plan.indices, [0, 0, 0])
         np.testing.assert_allclose(plan.weights, np.full(3, 1 / np.sqrt(3)))
 
     def test_deterministic_given_seed(self):
         scores = scores_from_distribution(np.arange(1.0, 101.0))
-        a = draw_plan(scores, 50, 7, 3)
-        b = draw_plan(scores, 50, 7, 3)
+        a = draw_plan(scores, 50, 7, 3, cdf=scores.cdf())
+        b = draw_plan(scores, 50, 7, 3, cdf=scores.cdf())
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.weights, b.weights)
 
@@ -54,7 +57,7 @@ class TestDrawPlan:
         raw = rng.exponential(size=100_000)
         scores = scores_from_distribution(raw)
         s = 1000
-        plan = draw_plan(scores, s, 12)
+        plan = draw_plan(scores, s, 12, cdf=scores.cdf())
         pi = scores.scores / scores.total
         top = np.argsort(pi)[-20:]
         counts = np.bincount(plan.indices, minlength=pi.size)
@@ -87,15 +90,16 @@ class TestDrawPlan:
             raw[rng.integers(n)] = 1.0
         s = 1 + int(s_fraction * (2 * n - 1))
         scores = scores_from_distribution(raw)
-        plan = draw_plan(scores, s, *seed_words)
+        plan = draw_plan(scores, s, *seed_words, cdf=scores.cdf())
         expected = make_rng(*seed_words).choice(
             n, size=s, replace=True, p=scores.scores / scores.total
         )
         np.testing.assert_array_equal(plan.indices, expected)
 
     def test_size_must_be_positive(self):
+        scores = scores_from_distribution([1, 1])
         with pytest.raises(SampleSizeError):
-            draw_plan(scores_from_distribution([1, 1]), 0, 0)
+            draw_plan(scores, 0, 0, cdf=scores.cdf())
 
     def test_zero_score_distribution_rejected(self):
         with pytest.raises(Exception):
@@ -184,6 +188,9 @@ class TestSampleSize:
             SampleSizeRule(SizeMode.FRACTION, fraction=None)
         with pytest.raises(SampleSizeError):
             SampleSizeRule(SizeMode.THEORETICAL, beta=0.0)
+        # A fraction would be ignored by the theoretical size.
+        with pytest.raises(SampleSizeError, match="theoretical mode takes no fraction"):
+            SampleSizeRule(SizeMode.THEORETICAL, fraction=0.5)
 
 
 class TestReducedFit:
@@ -191,7 +198,8 @@ class TestReducedFit:
         design = make_design(ar1_series, 3)
         full = fit_ols(design)
         m = design.row_count
-        reduced = reduced_fit(design, SamplingPlan(np.arange(m), np.ones(m)))
+        reduced = fit_from_coefficients(
+            design, reduced_fit(design, SamplingPlan(np.arange(m), np.ones(m))))
         np.testing.assert_allclose(
             reduced.coefficients, full.coefficients, atol=1e-10
         )
@@ -201,8 +209,9 @@ class TestReducedFit:
 
     def test_residuals_on_full_design(self, ar2_series):
         design = make_design(ar2_series, 2)
-        plan = draw_plan(exact_leverage(design), 100, 3)
-        fit = reduced_fit(design, plan)
+        scores = exact_leverage(design)
+        plan = draw_plan(scores, 100, 3, cdf=scores.cdf())
+        fit = fit_from_coefficients(design, reduced_fit(design, plan))
         assert fit.residuals.size == design.row_count
         x = design.materialize()
         np.testing.assert_allclose(
@@ -216,11 +225,11 @@ class TestReducedFit:
             indices=np.array([0, 7, 7, 42, 100, 2500, 4996], dtype=np.int64),
             weights=np.array([0.5, 1.0, 1.0, 2.0, 0.25, 3.0, 1.5]),
         )
-        fit = reduced_fit(design, plan)
+        phi = reduced_fit(design, plan)
         x_w = design.materialize()[plan.indices] * plan.weights[:, None]
         y_w = design.responses[plan.indices] * plan.weights
         expected = np.linalg.lstsq(x_w, y_w, rcond=None)[0]
-        np.testing.assert_allclose(fit.coefficients, expected, atol=1e-10)
+        np.testing.assert_allclose(phi, expected, atol=1e-10)
 
     def test_out_of_range_indices_rejected(self, ar1_series):
         design = make_design(ar1_series, 2)
@@ -251,8 +260,9 @@ class TestUnbiasedness:
         target = float(np.linalg.norm(design.materialize() @ phi) ** 2)
         total = 0.0
         plans = 10_000
+        cdf = scores.cdf()
         for k in range(plans):
-            plan = draw_plan(scores, 10, 5, k)
+            plan = draw_plan(scores, 10, 5, k, cdf=cdf)
             sketched = design.rows[plan.indices] * plan.weights[:, None]
             total += float(np.linalg.norm(sketched @ phi) ** 2)
         assert abs(total / plans / target - 1.0) < 0.05
