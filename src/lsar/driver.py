@@ -90,8 +90,8 @@ def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
             f"need n > 2 * max_order, got n={series.n}, max_order={cfg.max_order}"
         )
     records: list[OrderRecord] = []
-    # Only each order's coefficients are kept; the selected order's
-    # residuals are recomputed once below, so memory stays O(n).
+    # Only each order's coefficients are kept, no residual; the selected
+    # order's norm is recomputed once below, so memory stays O(n).
     coefficients: list[np.ndarray] = []
     aborted_at = None
     abort_reason = None

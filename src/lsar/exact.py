@@ -11,7 +11,8 @@ gives the coefficients, and `nested_factors` turns one R into the factors
 of every lag 1..p, so each exact path factors its rows once.  Exact leverage
 scores are the squared row norms of Q = X R^-1, computed block by block, so
 Q is never formed either.  Normal equations are deliberately avoided; the
-kappa^2 conditioning loss would contaminate the score oracles.
+kappa^2 conditioning loss would contaminate the score oracles.  A fit keeps
+its full-design residual norm only, so no `ARFit` holds an O(n) array.
 
 The LAPACK and BLAS routines come straight from scipy's compiled f2py
 wrappers, ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, loaded by
@@ -45,21 +46,18 @@ ZERO_CONFIDENCE_Z = 1.96
 
 @dataclass(frozen=True)
 class ARFit:
-    """One fitted AR(p) regression: coefficients, residuals and noise MSE.
+    """One fitted AR(p) regression: coefficients, residual norm and noise MSE.
 
-    ``residuals`` are always evaluated on the full design, even when the
-    coefficients came from a sampled (reduced) solve.
+    The norm is that of the full-design residual, which is not kept, even
+    when the coefficients came from a sampled (reduced) solve.
     """
 
-    order: int
     coefficients: np.ndarray
-    residuals: np.ndarray
     residual_norm: float
     noise_variance: float
 
     def __post_init__(self):
         self.coefficients.setflags(write=False)
-        self.residuals.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -275,20 +273,13 @@ def solve_ols(r: np.ndarray) -> np.ndarray:
 
 
 def fit_from_coefficients(design: ARDesign, phi: np.ndarray) -> ARFit:
-    """The fit with coefficients ``phi``, its residuals on the full design.
+    """The fit with coefficients ``phi``, normed on the full design.
 
-    The noise-variance estimate is ``|r|^2 / (n - p)``.
+    The residual r is dropped once normed; the noise variance is ``|r|^2 / (n - p)``.
     """
-    residuals = design.apply(phi)
-    np.subtract(design.responses, residuals, out=residuals)
-    rnorm = float(np.linalg.norm(residuals))
-    return ARFit(
-        order=design.p,
-        coefficients=phi,
-        residuals=residuals,
-        residual_norm=rnorm,
-        noise_variance=rnorm**2 / design.row_count,
-    )
+    rnorm = float(np.linalg.norm(design.residuals(phi)))
+    return ARFit(coefficients=phi, residual_norm=rnorm,
+                 noise_variance=rnorm**2 / design.row_count)
 
 
 def fit_ols(design: ARDesign) -> ARFit:

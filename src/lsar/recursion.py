@@ -10,7 +10,7 @@ each of those fits uses:
   factor, so the scores are exact and equal the hat-matrix diagonal;
 * sampled rows (a size rule) -- reduced fits on rows drawn from the current
   scores: the fully-approximate recursion of LSAR, which carries only
-  approximated scores and sampled-fit residuals forward.
+  approximated scores, built from sampled-fit residuals, forward.
 
 For a target order p on a series of length n, intermediate order q runs on
 the window of the first ``n - p + q`` observations, so every score vector
@@ -22,7 +22,8 @@ paper's every order.  The orders in between draw from the last CDF, a
 beta-approximation that the size rule of Drineas et al. (JMLR 2012) allows,
 and solve the reduced problem only.  A refresh at q, scheduled or forced by a
 rank-deficient stale draw, adds q - r times the normalized squared residual
-of order q - 1, the only full-design residual the sweep forms, and drops it.
+of order q - 1, the only full-design residual the sweep forms, squared in
+place into the new scores: beside the series a refresh holds two n-vectors.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DataError, NumericalError, RankDeficiencyError, ZeroResidualError
-from .exact import ARFit, LeverageScores, fit_from_coefficients, nested_factors, solve_ols
+from .exact import LeverageScores, nested_factors, solve_ols
 from .sampling import SampleSizeRule, draw_plan, reduced_fit, sample_size
 from .series import TimeSeries, make_design
 
@@ -49,8 +50,8 @@ class RecursionState:
 
     ``coefficients`` are the order-p solve on the current window.  ``scores``
     are those the plan was drawn from, formed at this order when
-    ``refreshed``; ``residual_norm`` is the norm of the order-(p - 1)
-    residual that refresh formed, NaN at order 1 and without a refresh.
+    ``refreshed`` in the buffer of the order-(p - 1) residual; its norm is
+    ``residual_norm``, NaN at order 1 and without a refresh.
     """
 
     p: int
@@ -80,20 +81,15 @@ def ar1_scores(series: TimeSeries) -> LeverageScores:
     return LeverageScores.from_scores(y[:-1] ** 2 / total)
 
 
-def _check_residual(fit: ARFit, window_norm: float):
-    if fit.residual_norm <= ZERO_RESIDUAL_RTOL * window_norm:
-        raise ZeroResidualError(fit.order, fit.residual_norm)
-
-
-def _advance(scores: LeverageScores, fit: ARFit, clamp: bool, weight: int = 1):
-    """Score update: scores plus ``weight`` times normalized squared residuals.
+def _advance(scores: LeverageScores, residuals, norm, clamp: bool, weight: int = 1):
+    """In place, ``residuals`` becomes ``scores + weight * (residuals / norm)**2``.
 
     Approximate scores can leave [0, 1] through sampled-residual noise only;
     with ``clamp`` they are clamped before the distribution is formed and
     the clamp count is reported.  Exact scores are never clamped.
     """
-    updated = np.square(fit.residuals)
-    updated /= fit.residual_norm**2 / weight  # exact for weight 1
+    updated = np.square(residuals, out=residuals)
+    updated /= norm**2 / weight  # exact for weight 1
     updated += scores.scores
     clamp_count = 0
     # Both terms are nonnegative, so only the upper bound can be crossed.
@@ -145,14 +141,15 @@ def approximate_sweep(
         design = make_design(window, q)
         while True:  # twice only when a draw from stale scores is rank deficient
             if q > 1 and refresh:
-                fit = fit_from_coefficients(make_design(series.prefix(window.n - 1), q - 1), phi)
+                cdf = None  # freed before the residual is formed
+                residuals = make_design(series.prefix(window.n - 1), q - 1).residuals(phi)
+                residual_norm = float(np.linalg.norm(residuals))
                 # A perfect previous fit makes the increment 0/0; abort rather
                 # than mask it, since every later order would inherit the damage.
-                _check_residual(fit, math.sqrt(window_norm2))
-                cdf = None  # freed before the new scores are formed
-                scores = _advance(scores, fit, size_rule is not None, q - last_refresh)
-                residual_norm = fit.residual_norm
-                del fit  # the residuals are freed before this order's solve
+                if residual_norm <= ZERO_RESIDUAL_RTOL * math.sqrt(window_norm2):
+                    raise ZeroResidualError(q - 1, residual_norm)
+                scores = _advance(scores, residuals, residual_norm, size_rule is not None,
+                                  q - last_refresh)
             last_refresh = q if refresh else last_refresh
             if size_rule is None:
                 s = design.row_count

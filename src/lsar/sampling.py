@@ -124,42 +124,47 @@ def sample_size(rule: SampleSizeRule, p: int, n: int, delta: float) -> int:
     probability ``delta``, which only the theoretical mode reads.
 
     In fraction mode an oversized s is clamped to the row count with a
-    warning; in theoretical mode it is an error, since it signals a
-    misconfigured epsilon.
+    warning; in theoretical mode it is an error naming the option to blame.
     """
-    if rule.mode is SizeMode.FRACTION:
-        s = math.ceil(rule.fraction * n)
-    else:
-        beta = rule.beta
-        if beta is None:
-            beta = max(DEFAULT_BETA_FLOOR, 1.0 - DEFAULT_BETA_COEFF * p * math.sqrt(rule.epsilon))
-        scale = beta * rule.epsilon**2
-        # When beta * epsilon^2 underflows to zero or the quotient overflows,
-        # the size is infinite, which exceeds every row count below.
-        raw = rule.constant * p * math.log(p / delta) / scale if scale > 0 else math.inf
-        s = math.ceil(raw) if raw < math.inf else raw
-    s = max(s, p + 1)
     m_rows = n - p
-    if s > m_rows:
-        if rule.mode is SizeMode.FRACTION:
+    if rule.mode is SizeMode.FRACTION:
+        s = max(math.ceil(rule.fraction * n), p + 1)
+        if s > m_rows:
             # The same text at every order, so the CLI says it once.
             warnings.warn(f"sample size at fraction {rule.fraction} exceeds the row "
                           "count; clamped to the row count", stacklevel=2)
-            s = m_rows
-        else:
-            # ln(p / delta) is infinite only when p / delta overflows.  A given
-            # beta is the cause when beta = 1 would give a size that fits.
-            log = math.log(p / delta)
-            cause = "epsilon"
-            if log == math.inf:
-                cause = "delta"
-            elif rule.beta is not None and rule.constant * p * log / rule.epsilon**2 <= m_rows:
-                cause = "beta"
-            raise SampleSizeError(
-                f"theoretical sample size {s:.3g} exceeds row count {m_rows}; "
-                f"{cause} is too small for this data size"
-            )
-    return s
+        return min(s, m_rows)
+    beta = rule.beta
+    if beta is None:
+        beta = max(DEFAULT_BETA_FLOOR, 1.0 - DEFAULT_BETA_COEFF * p * math.sqrt(rule.epsilon))
+    # ln(p / delta) is infinite when p / delta overflows or delta underflowed
+    # to zero.  When beta * epsilon^2 underflows to zero or the quotient
+    # overflows, the size is infinite, which exceeds every row count.
+    log = math.log(p / delta) if delta > 0 else math.inf
+
+    def size(constant=rule.constant, log=log, scale=beta * rule.epsilon**2):
+        raw = constant * p * log / scale if scale > 0 else math.inf
+        return max(math.ceil(raw) if raw < math.inf else raw, p + 1)
+
+    s = size()
+    if s <= m_rows:
+        return s
+    # A given beta, constant or delta is to blame when it alone, set back to
+    # its default (beta to 1), fits.  Either schedule scales delta about as delta0.
+    default = SampleSizeRule
+    if log == math.inf:
+        cause = "delta is too small"
+    elif rule.beta is not None and size(scale=rule.epsilon**2) <= m_rows:
+        cause = "beta is too small"
+    elif rule.constant != default.constant and size(constant=default.constant) <= m_rows:
+        cause = "constant is too large"
+    elif rule.delta != default.delta and size(
+            log=log + math.log(rule.delta / default.delta)) <= m_rows:
+        cause = "delta is too small"
+    else:
+        cause = "epsilon is too small"
+    raise SampleSizeError(f"theoretical sample size {s:.3g} exceeds row count {m_rows}; "
+                          f"{cause} for this data size")
 
 
 def draw_plan(scores: LeverageScores, s: int, *seed_words, cdf: np.ndarray) -> SamplingPlan:
@@ -188,7 +193,8 @@ def reduced_fit(design: ARDesign, plan: SamplingPlan) -> np.ndarray:
 
     The sampled rows of ``[X | y]``, scaled by the plan weights, are
     folded block by block into one R factor for the solve.  No O(n) pass
-    is made: `fit_from_coefficients` forms the full-design residuals.
+    is made: a refresh's `ARDesign.residuals`, or `fit_from_coefficients`
+    for a norm, forms the full-design residual.
     """
     if plan.indices.size and (plan.indices.min() < 0 or plan.indices.max() >= design.row_count):
         raise DistributionError(

@@ -7,9 +7,9 @@ exposes that matrix as a zero-copy view over the series; materialization
 is explicit and only used by oracles.  Solves read the rows they need of
 the augmented matrix ``[X | y]`` in row blocks of about 512 KiB instead
 (`ARDesign.blocks`), so no solve holds more than one block.  The
-full-design product ``X @ phi`` behind every residual is a blocked Toeplitz
-matrix product over the series (`ARDesign.apply`), which runs at
-matrix-matrix (BLAS-3) speed for every order.
+full-design product ``X @ phi`` behind every residual (`ARDesign.residuals`)
+is a blocked Toeplitz matrix product over the series (`ARDesign.apply`),
+which runs at matrix-matrix (BLAS-3) speed for every order.
 """
 
 from __future__ import annotations
@@ -165,6 +165,11 @@ class ARDesign:
         if done < out.size:
             out[done:] = sliding_window_view(x[done:], p) @ phi[::-1]
         return out
+
+    def residuals(self, phi: np.ndarray) -> np.ndarray:
+        """``y - X @ phi``, subtracted in place in `apply`'s fresh array."""
+        residuals = self.apply(phi)
+        return np.subtract(self.responses, residuals, out=residuals)
 
 
 @dataclass(frozen=True)

@@ -445,6 +445,18 @@ class TestLsar:
         err = capsys.readouterr().err
         assert "theoretical sample size 9.23e+300 exceeds row count 47; beta is too small" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--constant", "1000", "3.14e+04 exceeds row count 299; constant is too large"),
+        ("--delta0", "1e-300", "3.77e+04 exceeds row count 299; delta is too small"),
+    ], ids=["constant", "delta0"])
+    def test_given_constant_or_delta_is_blamed(self, tmp_path, capsys, flag, value, message):
+        # --pbar 1 runs on this series with both options at their defaults.
+        path = series_file(tmp_path, generate_ar(ARGeneratorSpec(
+            np.array([0.5]), 1.0, 300, seed=1)).values)
+        code = run(["lsar", "--input", path, "--pbar", "1", flag, value])
+        assert code == EXIT_DATA
+        assert f"theoretical sample size {message} for this data size" in capsys.readouterr().err
+
     def test_clamped_sample_size_is_said_once(self, tmp_path, capsys):
         path = series_file(tmp_path, generate_ar(ARGeneratorSpec(
             np.array([0.5]), 1.0, 50, seed=1)).values)

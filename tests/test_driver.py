@@ -1,14 +1,17 @@
 import math
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsar import (
     ARGeneratorSpec,
     DataError,
     DeltaMode,
     LsarConfig,
+    LsarError,
     SampleSizeRule,
     SizeMode,
     TimeSeries,
@@ -29,33 +32,35 @@ def strip_wall_time(record):
             record.residual_norm, record.pacf_estimate, record.bandwidth)
 
 
+def run_outcome(series, cfg):
+    """A run's per-order log without wall times, as bytes so that NaNs
+    compare equal, with its selection and final fit; or the error raised."""
+    try:
+        result = run_lsar(series, cfg)
+    except LsarError as err:
+        return type(err), str(err)
+    log = np.array([strip_wall_time(r) + (r.refreshed,) for r in result.per_order_log])
+    fit = result.final_fit
+    return (log.tobytes(), result.selected_order, result.aborted_at,
+            None if fit is None else (fit.coefficients.tobytes(), fit.residual_norm))
+
+
 class TestRunLsar:
-    def test_previous_residuals_are_freed_before_the_next_draw(self, monkeypatch):
-        # Memory stays at one order's O(n) arrays plus one row block of the
-        # solve: when order q draws its plan, no residual vector is alive.
-        # Only a refresh forms one, that of the order before it.
-        import lsar.recursion
-
-        residuals = []
-        alive_at_draw = []
-        real_fit, real_draw = lsar.recursion.fit_from_coefficients, lsar.recursion.draw_plan
-
-        def fit_spy(design, phi):
-            fit = real_fit(design, phi)
-            residuals.append((design.p, weakref.ref(fit.residuals)))
-            return fit
-
-        def draw_spy(*args, **kwargs):
-            alive_at_draw.append(sum(ref() is not None for _, ref in residuals))
-            return real_draw(*args, **kwargs)
-
-        monkeypatch.setattr(lsar.recursion, "fit_from_coefficients", fit_spy)
-        monkeypatch.setattr(lsar.recursion, "draw_plan", draw_spy)
-        y = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 5000, seed=3))
-        run_lsar(y, LsarConfig(max_order=8, size_rule=FRACTION_RULE, seed=0))
-        assert alive_at_draw == [0] * 8
-        # The refreshes at 2-5 and 7 form the residuals of orders 1-4 and 6.
-        assert [p for p, _ in residuals] == [1, 2, 3, 4, 6]
+    def test_refresh_holds_two_n_vectors(self):
+        # A refresh drops the last CDF before it forms the residual, which
+        # then becomes the new scores in place: beside the series, the old
+        # scores and that one buffer are alive, plus a row block of a solve.
+        # Holding the residual next to the new scores would make it three.
+        y = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 10**6, seed=3))
+        cfg = LsarConfig(max_order=40, size_rule=SampleSizeRule(SizeMode.FRACTION,
+                                                                fraction=1e-3))
+        tracemalloc.start()
+        try:
+            run_lsar(y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * y.values.nbytes
 
     def test_noiseless_recurrence_aborts_after_perfect_fit(self):
         y = TimeSeries(0.5 ** np.arange(10_000, dtype=float))
@@ -79,7 +84,7 @@ class TestRunLsar:
         )
         result = run_lsar(y, cfg)
         assert result.selected_order == 2
-        assert result.final_fit.order == 2
+        assert result.final_fit.coefficients.size == 2
         np.testing.assert_allclose(
             result.final_fit.coefficients, [0.6, -0.4], atol=0.1
         )
@@ -107,6 +112,19 @@ class TestRunLsar:
         np.testing.assert_array_equal(
             a.final_fit.coefficients, b.final_fit.coefficients
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(phi=st.lists(st.floats(-0.45, 0.45), min_size=1, max_size=2),
+           n=st.integers(100, 2000), max_order=st.integers(1, 12),
+           fraction=st.sampled_from([0.05, 0.3]), data_seed=st.integers(0, 2**16),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_seed_same_log(self, phi, n, max_order, fraction, data_seed, seed):
+        # Each refresh turns its residual buffer into the new scores in
+        # place; a second run on the same input must not tell the difference.
+        y = generate_ar(ARGeneratorSpec(np.array(phi), 1.0, n, seed=data_seed))
+        cfg = LsarConfig(max_order=max_order, seed=seed,
+                         size_rule=SampleSizeRule(SizeMode.FRACTION, fraction=fraction))
+        assert run_outcome(y, cfg) == run_outcome(y, cfg)
 
     def test_window_bookkeeping(self):
         y = generate_ar(ARGeneratorSpec(np.array([0.5]), 1.0, 3000, seed=1))
@@ -140,7 +158,7 @@ class TestRunLsar:
         # residual at the next order, on the same window.
         sweep = list(approximate_sweep(y, cfg.max_order, cfg.size_rule, cfg.seed))
         own, following = sweep[result.selected_order - 1: result.selected_order + 1]
-        assert result.final_fit.order == own.p
+        assert result.final_fit.coefficients.size == own.p
         assert np.array_equal(result.final_fit.coefficients, own.coefficients)
         assert result.final_fit.residual_norm == following.residual_norm
 
@@ -149,7 +167,7 @@ class TestRunLsar:
         cfg = LsarConfig(max_order=8, size_rule=FRACTION_RULE, seed=2,
                          bandwidth_multiplier=2.0, refit_full=True)
         result = run_lsar(y, cfg)
-        assert result.final_fit.order == result.selected_order
+        assert result.final_fit.coefficients.size == result.selected_order
         full = fit_ols(make_design(y, result.selected_order))
         assert np.array_equal(result.final_fit.coefficients, full.coefficients)
 
@@ -278,6 +296,22 @@ class TestLazyRefresh:
         np.testing.assert_allclose([log[4].residual_norm, log[5].residual_norm,
                                     log[8].residual_norm],
                                    [10000.199051, 10000.198863, 10000.198704], rtol=1e-9)
+
+    def test_held_states_survive_forced_and_scheduled_refreshes(self):
+        # On the spike series of the test above, the order-6 refresh is
+        # forced and 7 and 9 are scheduled, all while every earlier state
+        # is held: none of the buffers a refresh writes may be one of those.
+        y = np.random.default_rng(0).normal(size=4000)
+        y[1000] = 1e4
+        held = []
+        for state in approximate_sweep(TimeSeries(y), 10, FRACTION_RULE, 0, REFRESH_RATIO):
+            for old, copies in held:
+                np.testing.assert_array_equal(old.scores.scores, copies[0])
+                np.testing.assert_array_equal(old.coefficients, copies[1])
+            held.append((state, [state.scores.scores.copy(), state.coefficients.copy()]))
+        refreshed = [state.p for state, _ in held if state.refreshed]
+        assert len(held) == 10
+        assert 6 in refreshed and set(refreshed) > {1, 2, 3, 4, 5, 7, 9}
 
     def test_noiseless_ar5_abort_names_the_perfect_order(self):
         # The order-5 fit is perfect, but order 6 does not refresh, so no

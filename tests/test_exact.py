@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -33,9 +34,11 @@ from conftest import hat_diagonal
 class TestFitOls:
     def test_hand_system(self):
         # Regressing [2, 3] on [1, 2]: phi = (1*2 + 2*3) / (1 + 4) = 8/5.
-        fit = fit_ols(make_design(TimeSeries(np.array([1.0, 2, 3])), 1))
+        design = make_design(TimeSeries(np.array([1.0, 2, 3])), 1)
+        fit = fit_ols(design)
         np.testing.assert_allclose(fit.coefficients, [1.6], atol=1e-14)
-        np.testing.assert_allclose(fit.residuals, [0.4, -0.2], atol=1e-14)
+        np.testing.assert_allclose(design.residuals(fit.coefficients), [0.4, -0.2], atol=1e-14)
+        np.testing.assert_allclose(fit.residual_norm, math.hypot(0.4, 0.2), atol=1e-14)
         np.testing.assert_allclose(
             fit.noise_variance, (0.4**2 + 0.2**2) / 2, atol=1e-14
         )
@@ -54,13 +57,15 @@ class TestFitOls:
         for p in (1, 2, 4, 7):
             design = make_design(ar2_series, p)
             fit = fit_ols(design)
+            residuals = design.residuals(fit.coefficients)
             x = design.materialize()
             np.testing.assert_allclose(
-                fit.residuals, design.responses - x @ fit.coefficients,
+                residuals, design.responses - x @ fit.coefficients,
                 atol=1e-10,
             )
+            assert fit.residual_norm == np.linalg.norm(residuals)
             scale = np.linalg.norm(x) * np.linalg.norm(design.responses)
-            assert np.max(np.abs(x.T @ fit.residuals)) <= 1e-8 * scale
+            assert np.max(np.abs(x.T @ residuals)) <= 1e-8 * scale
 
 
 def _qr(matrix: np.ndarray, required_rank: int):

@@ -18,8 +18,9 @@ from lsar import (
     generate_ar,
     make_design,
 )
+from lsar.driver import REFRESH_RATIO
 from lsar.evalbench import conditioning, conditioning_kappa
-from lsar.exact import ARFit, LeverageScores, augmented_r, fit_from_coefficients
+from lsar.exact import LeverageScores, augmented_r
 from lsar.recursion import _advance, approximate_sweep, ar1_scores
 from lsar.sampling import draw_plan, reduced_fit, sample_size
 
@@ -103,7 +104,8 @@ class TestQuasiScores:
         cdf = prev.cdf()
         for trial in range(50):
             phi = reduced_fit(design, draw_plan(prev, s, 99, trial, cdf=cdf))
-            quasi = _advance(prev, fit_from_coefficients(design, phi), clamp=True)
+            residuals = design.residuals(phi)
+            quasi = _advance(prev, residuals, np.linalg.norm(residuals), clamp=True)
             deviation = np.max(
                 np.abs(quasi.scores - exact.scores.scores) / exact.scores.scores
             )
@@ -141,14 +143,15 @@ class TestFullyApproxScores:
         assert state.scores.clamp_count >= 0
 
     def test_advance_clamps_approximate_scores_only(self):
+        # Each call consumes its residual array: it becomes the new scores.
         previous = LeverageScores.from_scores(np.array([0.9, 0.5, 0.1]))
-        fit = ARFit(order=1, coefficients=np.zeros(1), residuals=np.array([0.8, 0.6, 0.0]),
-                    residual_norm=1.0, noise_variance=1.0 / 3.0)
-        clamped = _advance(previous, fit, clamp=True)
+        residuals = np.array([0.8, 0.6, 0.0])
+        clamped = _advance(previous, residuals, 1.0, clamp=True)
+        assert clamped.scores is residuals
         np.testing.assert_array_equal(clamped.scores, [1.0, 0.86, 0.1])
         assert clamped.clamp_count == 1
         assert clamped.total == 1.96
-        exact = _advance(previous, fit, clamp=False)
+        exact = _advance(previous, np.array([0.8, 0.6, 0.0]), 1.0, clamp=False)
         np.testing.assert_array_equal(exact.scores, [0.9 + 0.64, 0.86, 0.1])
         assert exact.clamp_count == 0
 
@@ -206,17 +209,22 @@ class TestApproximateSweep:
         assert len(list(approximate_sweep(ar2_series, 6, rule, seed=0))) == 6
         assert calls == [1, 2, 3, 4, 5]
 
-    @pytest.mark.parametrize("rule", [None, FRACTION_RULE], ids=["full", "sampled"])
-    def test_held_states_survive_next(self, ar2_series, rule):
-        # No array the sweep has yielded may change after it advances.
+    @pytest.mark.parametrize("rule, ratio", [
+        (None, 1.0), (FRACTION_RULE, 1.0), (None, REFRESH_RATIO), (FRACTION_RULE, REFRESH_RATIO),
+    ], ids=["full", "sampled", "full-lazy", "sampled-lazy"])
+    def test_held_states_survive_next(self, ar2_series, rule, ratio):
+        # No array the sweep has yielded may change after it advances, on
+        # refreshing orders and on those that draw from stale scores.
         held = []
-        for state in approximate_sweep(ar2_series, 6, rule, seed=0):
+        for state in approximate_sweep(ar2_series, 10, rule, seed=0, refresh_ratio=ratio):
             for old, copies in held:
                 np.testing.assert_array_equal(old.scores.scores, copies[0])
                 np.testing.assert_array_equal(old.coefficients, copies[1])
             arrays = (state.scores.scores, state.coefficients)
             held.append((state, [a.copy() for a in arrays]))
-        assert len(held) == 6
+        assert len(held) == 10
+        assert [s.p for s, _ in held if s.refreshed] == (
+            list(range(1, 11)) if ratio == 1.0 else [1, 2, 3, 4, 5, 7, 9])
 
 
 class TestScaleInvariance:

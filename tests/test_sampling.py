@@ -163,6 +163,33 @@ class TestSampleSize:
                            match=r"sample size 9\.23e\+300 exceeds .*; beta is too small"):
             sample_size(rule, 1, 50, rule.delta)
 
+    def test_large_constant_is_blamed(self):
+        # The default constant 4 would give 8 rows here.
+        rule = SampleSizeRule(SizeMode.THEORETICAL, constant=1000.0)
+        with pytest.raises(SampleSizeError,
+                           match=r"sample size 3\.14e\+04 exceeds .* 299; constant is too large"):
+            sample_size(rule, 1, 300, rule.delta)
+
+    def test_tiny_delta_is_blamed(self):
+        # The default delta 0.1 would give 8 rows here.
+        rule = SampleSizeRule(SizeMode.THEORETICAL, delta=1e-300)
+        with pytest.raises(SampleSizeError,
+                           match=r"sample size 3\.77e\+04 exceeds .* 299; delta is too small"):
+            sample_size(rule, 1, 300, rule.delta)
+
+    @pytest.mark.parametrize("delta_mode", list(DeltaMode))
+    def test_vanishing_delta_is_blamed(self, delta_mode):
+        # delta0 / 2 and the geometric schedule's delta at 1e-300 are 0.0.
+        rule = SampleSizeRule(SizeMode.THEORETICAL, delta=5e-324, delta_mode=delta_mode)
+        assert rule.delta_at(2, 3) == 0.0
+        with pytest.raises(SampleSizeError, match="size inf exceeds .*; delta is too small"):
+            sample_size(rule, 2, 300, rule.delta_at(2, 3))
+
+    def test_underflowing_epsilon_squared_is_blamed(self):
+        rule = SampleSizeRule(SizeMode.THEORETICAL, epsilon=1e-170, beta=0.5)
+        with pytest.raises(SampleSizeError, match="size inf exceeds .*; epsilon is too small"):
+            sample_size(rule, 1, 300, rule.delta)
+
     def test_overflowing_log_blames_delta(self):
         rule = SampleSizeRule(SizeMode.THEORETICAL, epsilon=0.5, beta=1.0)
         with pytest.raises(SampleSizeError, match="delta is too small"):
@@ -211,12 +238,13 @@ class TestReducedFit:
         design = make_design(ar2_series, 2)
         scores = exact_leverage(design)
         plan = draw_plan(scores, 100, 3, cdf=scores.cdf())
-        fit = fit_from_coefficients(design, reduced_fit(design, plan))
-        assert fit.residuals.size == design.row_count
+        phi = reduced_fit(design, plan)
+        residuals = design.residuals(phi)
+        assert residuals.size == design.row_count
         x = design.materialize()
-        np.testing.assert_allclose(
-            fit.residuals, design.responses - x @ fit.coefficients, atol=1e-10
-        )
+        np.testing.assert_allclose(residuals, design.responses - x @ phi, atol=1e-10)
+        fit = fit_from_coefficients(design, phi)
+        assert fit.residual_norm == np.linalg.norm(residuals)
         assert fit.residual_norm >= fit_ols(design).residual_norm - 1e-12
 
     def test_hand_built_plan_matches_weighted_lstsq(self, ar2_series):
