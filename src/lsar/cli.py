@@ -127,9 +127,11 @@ def sampling_metadata(rule: SampleSizeRule, seed: int) -> dict:
 
 
 def refresh_metadata(result) -> dict:
-    """The orders that refreshed the scores, and the ratio that picked them."""
+    """The refreshing orders, the ratio that picks them and the rows they factored."""
+    refreshed = [r for r in result.per_order_log if r.refreshed]
     return {"refresh_ratio": REFRESH_RATIO,
-            "refresh_orders": ",".join(str(r.p) for r in result.per_order_log if r.refreshed)}
+            "refresh_orders": ",".join(str(r.p) for r in refreshed),
+            "factored_rows": sum(r.sample_size for r in refreshed)}
 
 
 def _int_list(text: str) -> list[int]:

@@ -4,15 +4,15 @@ One pass over orders p = 1..max_order with a window growing by one
 observation per order: maintain fully-approximate leverage scores, solve a
 reduced OLS problem per order, record its last coefficient as the sampled
 PACF estimate, and pick the selected order as the largest lag whose |PACF|
-reaches the zero-confidence band ``1.96/sqrt(s)`` of that lag's sample size.
+reaches the zero-confidence band ``1.96/sqrt(s)`` of that lag's plan size.
 
 The PACF estimate at lag p is taken from the reduced fit of the same
 iteration; computing it before the fit would need a second fitting pass and
 has no support in the error analysis.
 
-Only the orders ``REFRESH_RATIO`` picks, or a rank-deficient stale draw
-forces, refresh the scores (`lsar.recursion`) and count clamps; each forms
-the residual norm of the order before it, which is NaN at the other orders.
+Only the orders ``REFRESH_RATIO`` picks, or a rank-deficient stale fit
+forces, refresh the scores (`lsar.recursion`), draw a plan and count clamps;
+each forms the residual norm of the order before it, NaN at the others.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class OrderRecord:
     residual_norm: float
     pacf_estimate: float
     bandwidth: float
-    wall_time: float
+    wall_time: float  # a refresh's draw and factor count at its own order
     refreshed: bool
 
 

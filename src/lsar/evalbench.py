@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, RankDeficiencyError
 from .exact import LeverageScores, _check_rank, check_max_lag, exact_leverage, \
-    fit_from_coefficients, fit_ols, nested_factors
+    fit_from_coefficients, fit_ols, nested_factors, solve_ols
 from .recursion import approximate_sweep
 from .sampling import SampleSizeRule, SamplingPlan, draw_plan, make_rng, reduced_fit
 from .series import TimeSeries, make_design
@@ -172,7 +172,8 @@ def ratio_study(
                         plan = draw_plan(scores, s, seed, p, s, rep, 0, cdf=cdf)
                     else:
                         plan = uniform_plan(design.row_count, s, seed, p, s, rep, 1)
-                    fit = fit_from_coefficients(design, reduced_fit(design, plan))
+                    phi = solve_ols(reduced_fit(design, plan))[::-1]
+                    fit = fit_from_coefficients(design, phi)
                 except RankDeficiencyError:
                     excluded += 1
                     continue

@@ -7,12 +7,13 @@ chosen rows of ``[X | y]``.  It reads the rows in blocks of about 512 KiB:
 LAPACK's recursive compact-WY QR (``dgeqrt``, Elmroth & Gustavson) factors
 the first block and ``dtpqrt`` folds each later one into R, both mostly in
 matrix-matrix products.  The triangular system ``R[:p, :p] phi = R[:p, p]``
-gives the coefficients, and `nested_factors` turns one R into the factors
-of every lag 1..p, so each exact path factors its rows once.  Exact leverage
-scores are the squared row norms of Q = X R^-1, computed block by block, so
-Q is never formed either.  Normal equations are deliberately avoided; the
-kappa^2 conditioning loss would contaminate the score oracles.  A fit keeps
-its full-design residual norm only, so no `ARFit` holds an O(n) array.
+gives the coefficients, and `window_factor` and `nested_factors` turn one R
+into the factors of every order and every lag 1..p, so each exact path
+factors its rows once.  Exact leverage scores are the squared row norms of
+Q = X R^-1, computed block by block, so Q is never formed either.  Normal
+equations are deliberately avoided; the kappa^2 conditioning loss would
+contaminate the score oracles.  A fit keeps its full-design residual norm
+only, so no `ARFit` holds an O(n) array.
 
 The LAPACK and BLAS routines come straight from scipy's compiled f2py
 wrappers, ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, loaded by
@@ -233,20 +234,27 @@ def augmented_r(design: ARDesign, indices: np.ndarray | None = None,
     return r
 
 
+def window_factor(design: ARDesign, indices: np.ndarray | None = None,
+                  weights: np.ndarray | None = None) -> np.ndarray:
+    """`augmented_r` in window order ``[y[i], ..., y[i + p]]``; ``solve_ols``
+    of its leading (q + 1, q + 1) block is the order-q fit (Björck 1996, §2.7)."""
+    p = design.p
+    r = augmented_r(design, indices, weights)
+    f, _, info = _this.lapack.dgeqrt(min(QR_BLOCK, p + 1), r[:, [*range(p - 1, -1, -1), p]])
+    if info != 0:
+        raise NumericalError(f"QR of the order-{p} window factor failed: LAPACK info={info}")
+    return np.triu(f)
+
+
 def nested_factors(series: TimeSeries, max_lag: int):
     """Fresh R factors of the windows ``[y[i], ..., y[i + h]]`` over rows
-    i < n - h, for h = max_lag down to 1, from one `augmented_r` pass.
+    i < n - h, for h = max_lag down to 1, from one `window_factor`.
 
-    Fits on nested column sets share one QR (Björck 1996, §2.7): factor h
-    without its last column, plus the row ``y[n - h:]``, is factor h - 1.
-    ``solve_ols`` of factor h gives the order-h coefficients lag h first,
-    and of its leading (q + 1, q + 1) block the order-q fit to y[:n - h + q].
+    Factor h without its last column, plus the row ``y[n - h:]``, is factor
+    h - 1; ``solve_ols`` of factor h gives the order-h fit, lag h first.
     """
     y = series.values
-    r = augmented_r(make_design(series, max_lag))
-    f, _, info = _this.lapack.dgeqrt(min(QR_BLOCK, max_lag + 1),
-                                     r[:, [*range(max_lag - 1, -1, -1), max_lag]])
-    f = np.triu(f)
+    f, info = window_factor(make_design(series, max_lag)), 0
     for h in range(max_lag, 0, -1):
         if info != 0:
             raise NumericalError(f"QR of the lag-{h} factor failed: LAPACK info={info}")

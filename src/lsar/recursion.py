@@ -6,8 +6,7 @@ the order-(p-1) fit on a window one observation shorter.  One sweep,
 `approximate_sweep`, runs the recursion.  Its row policy decides which rows
 each of those fits uses:
 
-* all rows (no size rule) -- full-data fits, all read from one nested R
-  factor, so the scores are exact and equal the hat-matrix diagonal;
+* all rows (no size rule) -- full-data fits, so the scores are exact;
 * sampled rows (a size rule) -- reduced fits on rows drawn from the current
   scores: the fully-approximate recursion of LSAR, which carries only
   approximated scores, built from sampled-fit residuals, forward.
@@ -18,12 +17,13 @@ in the sweep has the same length ``n - p``.
 
 Order q refreshes, forming new scores and their CDF, when r/q <= the sweep's
 ``refresh_ratio``, r being the last order that did; the default 1.0 is the
-paper's every order.  The orders in between draw from the last CDF, a
-beta-approximation that the size rule of Drineas et al. (JMLR 2012) allows,
-and solve the reduced problem only.  A refresh at q, scheduled or forced by a
-rank-deficient stale draw, adds q - r times the normalized squared residual
-of order q - 1, the only full-design residual the sweep forms, squared in
-place into the new scores: beside the series a refresh holds two n-vectors.
+paper's every order.  A refresh at q adds q - r times the normalized squared
+residual of order q - 1, the only full-design residual the sweep forms,
+squared in place into the new scores: beside the series a refresh holds two
+n-vectors.  It draws one plan for the orders up to the next refresh, sized
+for the last; stale scores are a beta-approximation that the size rule of
+Drineas et al. (JMLR 2012) allows.  One QR of its rows serves them all
+(`window_factor`), and a rank-deficient block forces a refresh.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DataError, NumericalError, RankDeficiencyError, ZeroResidualError
-from .exact import LeverageScores, nested_factors, solve_ols
+from .exact import LeverageScores, solve_ols, window_factor
 from .sampling import SampleSizeRule, draw_plan, reduced_fit, sample_size
 from .series import TimeSeries, make_design
 
@@ -48,9 +48,9 @@ ZERO_RESIDUAL_RTOL = 1e-14
 class RecursionState:
     """Carried state of one recursion sweep after finishing order ``p``.
 
-    ``coefficients`` are the order-p solve on the current window.  ``scores``
-    are those the plan was drawn from, formed at this order when
-    ``refreshed`` in the buffer of the order-(p - 1) residual; its norm is
+    ``coefficients`` are the order-p solve on the current window, from a
+    plan of ``sample_size`` rows.  ``scores`` are formed at this order when
+    ``refreshed``, in the buffer of the order-(p - 1) residual; its norm is
     ``residual_norm``, NaN at order 1 and without a refresh.
     """
 
@@ -111,38 +111,36 @@ def approximate_sweep(
     """Run the recursion up to ``target_order``, yielding the state per order.
 
     At order q the window holds the first ``n - target_order + q``
-    observations.  The yielded state's coefficients are the order-q solve on
-    that window; the next refresh forms their residuals.
-
-    Without ``size_rule`` every fit reads the first `nested_factors` factor:
-    all rows, so the scores are exact.  With one, every fit is a reduced
-    solve on rows drawn from the last refreshed scores, as many as
-    ``size_rule`` sets at the failure probability
-    ``size_rule.delta_at(q, target_order)``.  A rank-deficient reduced system
-    is resampled once with a fresh seed offset before erroring.  The exact
-    sweep refreshes every order.  Deterministic given ``seed``.
+    observations, and the state's coefficients are the order-q solve on it,
+    from the leading (q + 1, q + 1) block of the `window_factor` of its
+    interval's plan; the next refresh forms their residuals.  Without
+    ``size_rule`` one interval takes every row, so the scores are exact.
+    With one, each refresh draws a plan with seed words (seed, q, attempt)
+    for the orders before the next scheduled one, e the last, of as many rows
+    as ``size_rule`` sets at e and ``size_rule.delta_at(e, target_order)``;
+    it draws again with attempt 1 if the block at q is rank deficient.  The
+    exact sweep refreshes every order.  Deterministic given ``seed``.
     """
     n = series.n
     if target_order < 1 or n - target_order < 1:
         raise DataError(f"bad sweep bounds: target {target_order}, n {n}")
-    last_refresh, scores, phi, cdf = 0, None, None, None
-    factor = next(nested_factors(series, target_order)) if size_rule is None else None
+    last_refresh, scores, phi, cdf, factor = 0, None, None, None, None
     for q in range(1, target_order + 1):
-        window = series.prefix(n - target_order + q)
+        window = n - target_order + q
         refresh = last_refresh / q <= refresh_ratio
         residual_norm = math.nan
         if q == 1:
-            scores = ar1_scores(window)
+            scores = ar1_scores(series.prefix(window))
             # |window|^2, grown by one square per order below.
-            window_norm2 = float(np.dot(window.values, window.values))
+            window_norm2 = float(np.dot(series.values[:window], series.values[:window]))
         else:
-            last = float(window.values[-1])
+            last = float(series.values[window - 1])
             window_norm2 += last * last
-        design = make_design(window, q)
-        while True:  # twice only when a draw from stale scores is rank deficient
-            if q > 1 and refresh:
+        attempt = 0
+        while True:  # again only when the factor is rank deficient at q
+            if q > 1 and refresh and not attempt:
                 cdf = None  # freed before the residual is formed
-                residuals = make_design(series.prefix(window.n - 1), q - 1).residuals(phi)
+                residuals = make_design(series.prefix(window - 1), q - 1).residuals(phi)
                 residual_norm = float(np.linalg.norm(residuals))
                 # A perfect previous fit makes the increment 0/0; abort rather
                 # than mask it, since every later order would inherit the damage.
@@ -151,29 +149,27 @@ def approximate_sweep(
                 scores = _advance(scores, residuals, residual_norm, size_rule is not None,
                                   q - last_refresh)
             last_refresh = q if refresh else last_refresh
-            if size_rule is None:
-                s = design.row_count
+            if factor is None or size_rule is not None and refresh:
+                # The interval ends before the next scheduled refresh.
+                e = next((k - 1 for k in range(q + 1, target_order + 1) if size_rule
+                          and last_refresh / k <= refresh_ratio), target_order)
+                design = make_design(series.prefix(n - target_order + e), e)
+                if size_rule is None:
+                    s, factor = design.row_count, window_factor(design)
+                else:
+                    s = sample_size(size_rule, e, design.series.n,
+                                    size_rule.delta_at(e, target_order))
+                    cdf = scores.cdf() if cdf is None else cdf
+                    factor = reduced_fit(design, draw_plan(scores, s, seed, q, attempt, cdf=cdf))
+            try:
                 phi = solve_ols(factor[:q + 1, :q + 1])[::-1]
                 break
-            s = sample_size(size_rule, q, window.n, size_rule.delta_at(q, target_order))
-            cdf = scores.cdf() if cdf is None else cdf
-            try:
-                phi = _reduced_fit_with_retry(design, scores, cdf, s, seed, q)
-                break
             except RankDeficiencyError:
-                if refresh:
+                if size_rule is None or attempt:
                     raise
-                # Stale scores can starve rows this order needs, as after an
-                # outlier or a perfect fit: refresh this order and draw again.
-                refresh = True
+                # A first order's draw can hit a degenerate row multiset: redraw
+                # with a fresh seed offset.  Later, stale scores can starve rows
+                # the order needs, as after an outlier or a perfect fit: refresh.
+                attempt, refresh = int(refresh), True
         yield RecursionState(p=q, scores=scores, coefficients=phi, residual_norm=residual_norm,
-                             window=window.n, sample_size=s, refreshed=refresh)
-
-
-def _reduced_fit_with_retry(design, scores, cdf, s, seed, q):
-    # With-replacement draws can hit a degenerate row multiset; one retry
-    # with a fresh seed offset keeps the pipeline deterministic given seed.
-    try:
-        return reduced_fit(design, draw_plan(scores, s, seed, q, 0, cdf=cdf))
-    except RankDeficiencyError:
-        return reduced_fit(design, draw_plan(scores, s, seed, q, 1, cdf=cdf))
+                             window=window, sample_size=s, refreshed=refresh)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DistributionError, SampleSizeError
-from .exact import LeverageScores, augmented_r, solve_ols
+from .exact import LeverageScores, window_factor
 from .series import ARDesign
 
 RNG_NAME = "philox"
@@ -115,7 +115,7 @@ class SampleSizeRule:
     def delta_at(self, q: int, max_order: int) -> float:
         """Failure probability at order ``q`` of a sweep to ``max_order``."""
         if self.delta_mode is DeltaMode.GEOMETRIC:
-            return 1.0 - (1.0 - self.delta) ** (1.0 / max_order)
+            return -math.expm1(math.log1p(-self.delta) / max_order)
         return self.delta / q
 
 
@@ -150,17 +150,22 @@ def sample_size(rule: SampleSizeRule, p: int, n: int, delta: float) -> int:
     if s <= m_rows:
         return s
     # A given beta, constant or delta is to blame when it alone, set back to
-    # its default (beta to 1), fits.  Either schedule scales delta about as delta0.
+    # its default (beta to 1), fits; all of them together when only that
+    # fits.  Either schedule scales delta about as delta0.
     default = SampleSizeRule
+    resets = {name: reset for name, given, reset in (
+        ("beta", rule.beta is not None, {"scale": rule.epsilon**2}),
+        ("constant", rule.constant != default.constant, {"constant": default.constant}),
+        ("delta", rule.delta != default.delta,
+         {"log": log + math.log(rule.delta / default.delta)})) if given}
+    alone = [name for name, reset in resets.items() if size(**reset) <= m_rows]
     if log == math.inf:
         cause = "delta is too small"
-    elif rule.beta is not None and size(scale=rule.epsilon**2) <= m_rows:
-        cause = "beta is too small"
-    elif rule.constant != default.constant and size(constant=default.constant) <= m_rows:
-        cause = "constant is too large"
-    elif rule.delta != default.delta and size(
-            log=log + math.log(rule.delta / default.delta)) <= m_rows:
-        cause = "delta is too small"
+    elif alone:
+        cause = f"{alone[0]} is too {'large' if alone[0] == 'constant' else 'small'}"
+    elif len(resets) > 1 and size(**{key: value for reset in resets.values()
+                                     for key, value in reset.items()}) <= m_rows:
+        cause = f"{' and '.join(resets)} together are too strict"
     else:
         cause = "epsilon is too small"
     raise SampleSizeError(f"theoretical sample size {s:.3g} exceeds row count {m_rows}; "
@@ -189,15 +194,13 @@ def draw_plan(scores: LeverageScores, s: int, *seed_words, cdf: np.ndarray) -> S
 
 
 def reduced_fit(design: ARDesign, plan: SamplingPlan) -> np.ndarray:
-    """Coefficients of the weighted OLS on the sampled rows.
+    """`window_factor` of the sampled rows, scaled by the plan weights.
 
-    The sampled rows of ``[X | y]``, scaled by the plan weights, are
-    folded block by block into one R factor for the solve.  No O(n) pass
-    is made: a refresh's `ARDesign.residuals`, or `fit_from_coefficients`
-    for a norm, forms the full-design residual.
+    No O(n) pass is made: a refresh's `ARDesign.residuals`, or
+    `fit_from_coefficients` for a norm, forms the full-design residual.
     """
     if plan.indices.size and (plan.indices.min() < 0 or plan.indices.max() >= design.row_count):
         raise DistributionError(
             f"plan indices out of range for design with {design.row_count} rows"
         )
-    return solve_ols(augmented_r(design, plan.indices, plan.weights))
+    return window_factor(design, plan.indices, plan.weights)

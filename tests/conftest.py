@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from lsar import ARGeneratorSpec, TimeSeries, generate_ar, make_rng
+from lsar.exact import solve_ols
+from lsar.sampling import reduced_fit
 
 
 def phi_from_partial_autocorrs(ks):
@@ -46,6 +48,11 @@ def contaminated_series(
     values = clean.values.copy()
     values[idx] *= factor
     return TimeSeries(values)
+
+
+def reduced_solve(design, plan) -> np.ndarray:
+    """Coefficients, lag 1 first, of the weighted OLS on the plan's rows."""
+    return solve_ols(reduced_fit(design, plan))[::-1]
 
 
 def hat_diagonal(x: np.ndarray) -> np.ndarray:

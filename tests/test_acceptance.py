@@ -36,10 +36,10 @@ from lsar.evalbench import (
     timing_study,
 )
 from lsar.exact import augmented_r, fit_from_coefficients
-from lsar.sampling import draw_plan, reduced_fit, sample_size
+from lsar.sampling import draw_plan, sample_size
 
 from conftest import AR20_COEFFS, contaminated_series, hat_diagonal, \
-    phi_from_partial_autocorrs
+    phi_from_partial_autocorrs, reduced_solve
 
 
 _CAPSYS = None
@@ -126,7 +126,7 @@ def test_criterion_3_full_sample_collapse():
         design = make_design(series, p)
         full = fit_ols(design)
         m = design.row_count
-        identity = reduced_fit(design, SamplingPlan(np.arange(m), np.ones(m)))
+        identity = reduced_solve(design, SamplingPlan(np.arange(m), np.ones(m)))
         worst_fit = max(
             worst_fit,
             float(np.max(np.abs(identity - full.coefficients))),
@@ -169,7 +169,7 @@ def test_criterion_4_sampled_fit_error_monte_carlo():
     hits_param = 0
     cdf = scores.cdf()
     for trial in range(100):
-        phi = reduced_fit(design, draw_plan(scores, s, 1234, trial, cdf=cdf))
+        phi = reduced_solve(design, draw_plan(scores, s, 1234, trial, cdf=cdf))
         fit = fit_from_coefficients(design, phi)
         hits_resid += fit.residual_norm <= (1 + epsilon) * full.residual_norm
         hits_param += (

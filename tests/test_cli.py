@@ -457,6 +457,16 @@ class TestLsar:
         assert code == EXIT_DATA
         assert f"theoretical sample size {message} for this data size" in capsys.readouterr().err
 
+    def test_constant_and_delta_are_blamed_together(self, tmp_path, capsys):
+        # Neither option alone back at its default fits; both together do.
+        path = series_file(tmp_path, generate_ar(ARGeneratorSpec(
+            np.array([0.5]), 1.0, 300, seed=1)).values)
+        code = run(["lsar", "--input", path, "--pbar", "1", "--constant", "1000",
+                    "--delta0", "1e-300"])
+        assert code == EXIT_DATA == 3
+        assert ("theoretical sample size 9.43e+06 exceeds row count 299; constant and delta "
+                "together are too strict for this data size") in capsys.readouterr().err
+
     def test_clamped_sample_size_is_said_once(self, tmp_path, capsys):
         path = series_file(tmp_path, generate_ar(ARGeneratorSpec(
             np.array([0.5]), 1.0, 50, seed=1)).values)
@@ -880,9 +890,9 @@ class TestFlags:
     THEORETICAL = {"epsilon", "delta0", "beta", "constant", "delta_mode", "rng", "seed"}
     FRACTION = {"fraction", "rng", "seed"}
     LSAR = {"command", "n", "pbar", "bandwidth_multiplier", "selected_order",
-            "total_wall_time", "refresh_ratio", "refresh_orders"} | RUNTIME
+            "total_wall_time", "refresh_ratio", "refresh_orders", "factored_rows"} | RUNTIME
     PACF = {"command", "mode", "n", "pbar", "effective_sample", "selected_order"} | RUNTIME
-    REFRESH = {"refresh_ratio", "refresh_orders"}
+    REFRESH = {"refresh_ratio", "refresh_orders", "factored_rows"}
     EVAL = {"command", "n"} | RUNTIME
 
     METADATA_CASES = [

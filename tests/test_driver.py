@@ -24,6 +24,8 @@ import lsar.series
 from lsar.driver import REFRESH_RATIO
 from lsar.recursion import approximate_sweep
 
+from conftest import reduced_solve
+
 FRACTION_RULE = SampleSizeRule(SizeMode.FRACTION, fraction=0.05)
 
 
@@ -251,13 +253,37 @@ class TestLazyRefresh:
         lazy = run_lsar(AR2, cfg).per_order_log
         lazy_plans, plans[:] = plans[:], []
         full = list(approximate_sweep(AR2, 8, cfg.size_rule, cfg.seed))
+        # Intervals [1], [2], [3], [4], [5, 6] and [7, 8]: orders 1-5 draw
+        # the every-order sweep's plans, and orders 1-4 also solve its factors.
+        assert len(lazy_plans) == 6
         for q in range(5):
             assert np.array_equal(lazy_plans[q].indices, plans[q].indices)
             assert np.array_equal(lazy_plans[q].weights, plans[q].weights)
-            assert lazy[q].pacf_estimate == float(full[q].coefficients[-1])
             assert lazy[q].sample_size == full[q].sample_size
-        # Order 6 draws from the order-5 scores, not from fresh ones.
-        assert not np.array_equal(lazy_plans[5].indices, plans[5].indices)
+        for q in range(4):
+            assert lazy[q].pacf_estimate == float(full[q].coefficients[-1])
+        # Order 6 solves order 5's plan, factored once for both orders.
+        assert not lazy[5].refreshed and lazy[5].sample_size == lazy[4].sample_size
+        design = make_design(AR2.prefix(AR2.n - 2), 6)
+        np.testing.assert_allclose(lazy[5].pacf_estimate,
+                                   reduced_solve(design, lazy_plans[4])[-1], rtol=1e-12)
+
+    def test_one_draw_per_refresh(self, monkeypatch):
+        # The fits of an interval share its one plan, so a run without a
+        # rank-deficient draw draws once per refresh, at the refreshing order.
+        import lsar.recursion
+
+        drawn = []
+        real_draw = lsar.recursion.draw_plan
+
+        def draw_spy(scores, s, *seed_words, cdf):
+            drawn.append(seed_words)
+            return real_draw(scores, s, *seed_words, cdf=cdf)
+
+        monkeypatch.setattr(lsar.recursion, "draw_plan", draw_spy)
+        result = run_lsar(AR2, LsarConfig(max_order=40, size_rule=FRACTION_RULE, seed=1))
+        assert [r.p for r in result.per_order_log if r.refreshed] == SCHEDULE_40
+        assert drawn == [(1, q, 0) for q in SCHEDULE_40]
 
     def test_report_marks_what_was_skipped(self):
         result = run_lsar(AR2, LsarConfig(max_order=40, size_rule=FRACTION_RULE, seed=1))
@@ -267,8 +293,8 @@ class TestLazyRefresh:
 
     def test_clamps_are_counted_at_refreshes_only(self):
         # The rows holding a 100-sigma spike get scores above 1, which are
-        # clamped; the stale orders draw from those clamped scores but
-        # report no clamps of their own.
+        # clamped; the stale orders fit on rows drawn from those clamped
+        # scores but report no clamps of their own.
         y = np.random.default_rng(0).normal(size=4000)
         y[1000] = 100.0
         series = TimeSeries(y)
@@ -291,15 +317,17 @@ class TestLazyRefresh:
         assert len(log) == 10
         assert 6 in refreshed and set(refreshed) > {1, 2, 3, 4, 5, 7, 9}
         # A forced refresh records the residual norm it formed, as a
-        # scheduled one does, on the order before it.
-        assert [r.p for r in log if not math.isnan(r.residual_norm)] == [1, 2, 3, 4, 5, 6, 8, 9]
+        # scheduled one does, on the order before it.  From 6 on, each
+        # order's block of the last plan's factor is rank deficient too, so
+        # every order refreshes.
+        assert [r.p for r in log if not math.isnan(r.residual_norm)] == list(range(1, 10))
         np.testing.assert_allclose([log[4].residual_norm, log[5].residual_norm,
                                     log[8].residual_norm],
                                    [10000.199051, 10000.198863, 10000.198704], rtol=1e-9)
 
     def test_held_states_survive_forced_and_scheduled_refreshes(self):
-        # On the spike series of the test above, the order-6 refresh is
-        # forced and 7 and 9 are scheduled, all while every earlier state
+        # On the spike series of the test above, the refreshes at 2-5 are
+        # scheduled and those at 6-10 forced, all while every earlier state
         # is held: none of the buffers a refresh writes may be one of those.
         y = np.random.default_rng(0).normal(size=4000)
         y[1000] = 1e4

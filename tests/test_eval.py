@@ -34,9 +34,9 @@ from lsar.evalbench import (
     _triangular_spectrum,
 )
 from lsar.exact import augmented_r, fit_from_coefficients
-from lsar.sampling import SamplingPlan, reduced_fit
+from lsar.sampling import SamplingPlan
 
-from conftest import contaminated_series
+from conftest import contaminated_series, reduced_solve
 
 FRACTION_RULE = SampleSizeRule(SizeMode.FRACTION, fraction=0.05)
 
@@ -247,7 +247,7 @@ class TestRatioStudy:
         design = make_design(ar2_series, 2)
         m = design.row_count
         fit = fit_from_coefficients(
-            design, reduced_fit(design, SamplingPlan(np.arange(m), np.ones(m))))
+            design, reduced_solve(design, SamplingPlan(np.arange(m), np.ones(m))))
         from lsar import fit_ols
 
         full = fit_ols(design)

@@ -29,7 +29,7 @@ CASES = {
     "lsar": (["lsar", "--pbar", "8", "--fraction", "0.05", "--seed", "3"],
              ("p", "window", "s", "clamp_count"), 3),
     "pacf_sampled": (["pacf", "--sampled", "--pbar", "6", "--seed", "4"],
-                     ("lag",), 6),
+                     ("lag",), 4),
     "eval_mpre": (["eval", "mpre", "--pbar", "6", "--fraction", "0.02", "--seed", "5"],
                   ("p",), None),
 }

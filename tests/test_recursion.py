@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lsar.recursion
 import lsar.series
 from lsar import (
     ARGeneratorSpec,
@@ -22,9 +23,9 @@ from lsar.driver import REFRESH_RATIO
 from lsar.evalbench import conditioning, conditioning_kappa
 from lsar.exact import LeverageScores, augmented_r
 from lsar.recursion import _advance, approximate_sweep, ar1_scores
-from lsar.sampling import draw_plan, reduced_fit, sample_size
+from lsar.sampling import draw_plan, sample_size
 
-from conftest import hat_diagonal
+from conftest import hat_diagonal, reduced_solve
 
 FRACTION_RULE = SampleSizeRule(SizeMode.FRACTION, fraction=0.05)
 SCALE_SERIES = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 2000, seed=11))
@@ -103,7 +104,7 @@ class TestQuasiScores:
         hits = 0
         cdf = prev.cdf()
         for trial in range(50):
-            phi = reduced_fit(design, draw_plan(prev, s, 99, trial, cdf=cdf))
+            phi = reduced_solve(design, draw_plan(prev, s, 99, trial, cdf=cdf))
             residuals = design.residuals(phi)
             quasi = _advance(prev, residuals, np.linalg.norm(residuals), clamp=True)
             deviation = np.max(
@@ -188,6 +189,34 @@ class TestApproximateSweep:
         np.testing.assert_allclose(first.coefficients, [0.5], atol=1e-10)
         with pytest.raises(ZeroResidualError):
             next(sweep)
+
+    @pytest.mark.parametrize("rule", [
+        FRACTION_RULE,
+        SampleSizeRule(SizeMode.THEORETICAL, epsilon=0.5, delta=0.1, beta=1.0),
+    ], ids=["fraction", "theoretical"])
+    def test_interval_factor_matches_direct_solves(self, ar2_series, rule, monkeypatch):
+        # Each order reads its fit from the leading block of its interval's
+        # factor; solving that order's own design on the same plan agrees.
+        plans = []
+        real_draw = lsar.recursion.draw_plan
+
+        def draw_spy(*args, **kwargs):
+            plans.append(real_draw(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(lsar.recursion, "draw_plan", draw_spy)
+        pbar, n = 20, ar2_series.n
+        states = list(approximate_sweep(ar2_series, pbar, rule, 4, REFRESH_RATIO))
+        assert len(plans) == sum(s.refreshed for s in states) == 10
+        intervals = 0
+        for state in states:
+            intervals += state.refreshed
+            plan = plans[intervals - 1]
+            assert state.sample_size == plan.size
+            direct = reduced_solve(make_design(ar2_series.prefix(n - pbar + state.p), state.p),
+                                   plan)
+            assert (np.linalg.norm(state.coefficients - direct)
+                    <= 1e-12 * np.linalg.norm(direct))
 
     def test_bad_bounds_rejected(self, ar1_series):
         with pytest.raises(DataError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,8 @@ from lsar.sampling import (
     reduced_fit,
     sample_size,
 )
+
+from conftest import reduced_solve
 
 
 def scores_from_distribution(pi: np.ndarray) -> LeverageScores:
@@ -179,7 +183,7 @@ class TestSampleSize:
 
     @pytest.mark.parametrize("delta_mode", list(DeltaMode))
     def test_vanishing_delta_is_blamed(self, delta_mode):
-        # delta0 / 2 and the geometric schedule's delta at 1e-300 are 0.0.
+        # delta0 / 2 and delta0 / 3, the geometric schedule's value, are 0.0.
         rule = SampleSizeRule(SizeMode.THEORETICAL, delta=5e-324, delta_mode=delta_mode)
         assert rule.delta_at(2, 3) == 0.0
         with pytest.raises(SampleSizeError, match="size inf exceeds .*; delta is too small"):
@@ -197,16 +201,40 @@ class TestSampleSize:
 
     @pytest.mark.parametrize("delta", [0.1, 0.05, 0.9, 1e-6, 1e-300])
     def test_delta_at_keeps_both_schedules(self, delta):
-        # Bit for bit the per-order and geometric expressions that the
-        # driver's schedule computed before the rule owned it.
+        # Bit for bit delta0 / q, and 1 - (1 - delta0)**(1/max_order) in its
+        # expm1/log1p form.  The plain power loses digits of delta0 in
+        # 1 - delta0, 1.5e-9 relative at 1e-6 and max_order 100; at 1e-300
+        # 1 - delta0 rounds to 1 and the power is 0.
         per_order = SampleSizeRule(SizeMode.THEORETICAL, delta=delta)
         geometric = SampleSizeRule(SizeMode.THEORETICAL, delta=delta,
                                    delta_mode=DeltaMode.GEOMETRIC)
         for max_order in (1, 7, 40, 100):
+            power = 1.0 - (1.0 - delta) ** (1.0 / max_order)
             for q in range(1, max_order + 1):
                 assert per_order.delta_at(q, max_order) == delta / q
-                assert (geometric.delta_at(q, max_order)
-                        == 1.0 - (1.0 - delta) ** (1.0 / max_order))
+                value = geometric.delta_at(q, max_order)
+                assert value == -math.expm1(math.log1p(-delta) / max_order)
+                if delta >= 1e-6:
+                    assert math.isclose(value, power, rel_tol=1e-8)
+                else:
+                    assert 0.0 == power < value
+
+    def test_tiny_geometric_delta_does_not_underflow(self):
+        # 1 - 1e-17 rounds to 1, which made the geometric delta 0.0 and the
+        # size infinite.
+        rule = SampleSizeRule(SizeMode.THEORETICAL, delta=1e-17, beta=1.0,
+                              delta_mode=DeltaMode.GEOMETRIC)
+        delta = rule.delta_at(2, 40)
+        assert math.isclose(delta, 2.5e-19, rel_tol=1e-12)
+        assert sample_size(rule, 2, 10**6, delta) == 1393
+
+    def test_constant_and_delta_are_blamed_together(self):
+        # Either option alone back at its default still gives 31447 or 37736
+        # rows; both give 126.
+        rule = SampleSizeRule(SizeMode.THEORETICAL, constant=1000.0, delta=1e-300)
+        with pytest.raises(SampleSizeError, match=r"sample size 9\.43e\+06 exceeds .* 299; "
+                           "constant and delta together are too strict for this data size"):
+            sample_size(rule, 1, 300, rule.delta)
 
     def test_invalid_parameters(self):
         with pytest.raises(SampleSizeError):
@@ -226,7 +254,7 @@ class TestReducedFit:
         full = fit_ols(design)
         m = design.row_count
         reduced = fit_from_coefficients(
-            design, reduced_fit(design, SamplingPlan(np.arange(m), np.ones(m))))
+            design, reduced_solve(design, SamplingPlan(np.arange(m), np.ones(m))))
         np.testing.assert_allclose(
             reduced.coefficients, full.coefficients, atol=1e-10
         )
@@ -238,7 +266,7 @@ class TestReducedFit:
         design = make_design(ar2_series, 2)
         scores = exact_leverage(design)
         plan = draw_plan(scores, 100, 3, cdf=scores.cdf())
-        phi = reduced_fit(design, plan)
+        phi = reduced_solve(design, plan)
         residuals = design.residuals(phi)
         assert residuals.size == design.row_count
         x = design.materialize()
@@ -253,7 +281,7 @@ class TestReducedFit:
             indices=np.array([0, 7, 7, 42, 100, 2500, 4996], dtype=np.int64),
             weights=np.array([0.5, 1.0, 1.0, 2.0, 0.25, 3.0, 1.5]),
         )
-        phi = reduced_fit(design, plan)
+        phi = reduced_solve(design, plan)
         x_w = design.materialize()[plan.indices] * plan.weights[:, None]
         y_w = design.responses[plan.indices] * plan.weights
         expected = np.linalg.lstsq(x_w, y_w, rcond=None)[0]
@@ -276,7 +304,7 @@ class TestReducedFit:
             weights=np.ones(3),
         )
         with pytest.raises(RankDeficiencyError):
-            reduced_fit(design, plan)
+            reduced_solve(design, plan)
 
 
 class TestUnbiasedness:

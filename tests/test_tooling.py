@@ -1,7 +1,8 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps lsar functions by
 name; a renamed or deleted entry point must fail here, not only in a traced
-benchmark run.  No name or dataclass field defined in ``src/lsar`` may
-exist for tests alone, and no CLI flag may go unread."""
+benchmark run, and so must a change that makes the benchmark's own output
+checks fail on its tiny inputs.  No name or dataclass field defined in
+``src/lsar`` may exist for tests alone, and no CLI flag may go unread."""
 
 import argparse
 import ast
@@ -9,6 +10,9 @@ import glob
 import importlib.util
 import os
 import re
+import sys
+
+import pytest
 
 import lsar.cli
 import lsar.recursion
@@ -137,3 +141,21 @@ def test_every_flag_is_read_by_its_handler():
         unread += [f"{command} {action.option_strings[0]}" for action in parser._actions
                    if action.dest != "help" and action.dest not in read]
     assert unread == list(UNREAD_FLAGS)
+
+
+@pytest.mark.parametrize("name", ["ingest_long", "deep_order"])
+def test_tiny_benchmark_ops_pass_their_checks(tmp_path, name):
+    # The benchmark's ops at tiny sizes, through lsar.cli.main in this
+    # process, over the sampler seeds of a run's first 20 ops.
+    if os.path.abspath(ROOT) not in sys.path:
+        sys.path.insert(0, os.path.abspath(ROOT))
+    from perfbench import inputs, run
+
+    workload = run.WORKLOADS[name](tiny=True)
+    inp = inputs.prepare(str(tmp_path), name, 1, workload.n_obs)
+    problems = []
+    for i in range(20):
+        outdir = str(tmp_path / f"op{i}")
+        op = run.run_op_inprocess(workload, inp, outdir, run.sampler_seed(1, i))
+        problems += [f"op {i}: {p}" for p in run.check_op(workload, inp, outdir, op)[0]]
+    assert problems == []
