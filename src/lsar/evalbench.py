@@ -111,10 +111,9 @@ def bound_curves(
     conjectured scaled log(p) variant.
 
     The bound at lag p needs eta of the order-(p - 1) fit on the first
-    n - 1 values, and kappa_p of the order-p design.  That fit's ``[X | y]``
-    is the order-p design with its lag-1 column moved last, and lag p's
-    `nested_factors` factor cut to (p, p) is its R with the lag columns
-    reversed.  eta and the singular values do not depend on column order.
+    n - 1 values, and kappa_p of the order-p design.  That fit's windows
+    are the order-p design's rows, so lag p's `nested_factors` factor cut
+    to (p, p) is the R of both.
 
     Row format: (p, bound_linear, bound_log).
     """
@@ -172,7 +171,7 @@ def ratio_study(
                         plan = draw_plan(scores, s, seed, p, s, rep, 0, cdf=cdf)
                     else:
                         plan = uniform_plan(design.row_count, s, seed, p, s, rep, 1)
-                    phi = solve_ols(reduced_fit(design, plan))[::-1]
+                    phi = solve_ols(reduced_fit(design, plan))
                     fit = fit_from_coefficients(design, phi)
                 except RankDeficiencyError:
                     excluded += 1
@@ -199,30 +198,22 @@ def timing_study(
     """Per-lag wall time of exact scores versus the approximate sweep.
 
     Monotonic clock, ``WARMUP`` discarded runs, then the median of
-    ``REPETITIONS`` runs per lag.  Row format: (p, time_exact, time_approx).
+    ``REPETITIONS`` runs per lag.  Within a run the two alternate lag by
+    lag, so load that comes and goes on the host hits both columns alike.
+    Row format: (p, time_exact, time_approx).
     """
     check_max_lag(max_lag, series.n)
-    exact_runs = []
-    approx_runs = []
+    runs = np.empty((REPETITIONS, max_lag, 2))
     for run in range(WARMUP + REPETITIONS):
-        exact_times = []
+        sweep = approximate_sweep(series, max_lag, size_rule, seed)
         for p in range(1, max_lag + 1):
             window = series.prefix(series.n - max_lag + p)
             t0 = time.perf_counter()
             exact_leverage(make_design(window, p))
-            exact_times.append(time.perf_counter() - t0)
-        approx_times = []
-        t0 = time.perf_counter()
-        for _ in approximate_sweep(series, max_lag, size_rule, seed):
             t1 = time.perf_counter()
-            approx_times.append(t1 - t0)
-            t0 = t1
-        if run >= WARMUP:
-            exact_runs.append(exact_times)
-            approx_runs.append(approx_times)
-    exact_median = np.median(np.array(exact_runs), axis=0)
-    approx_median = np.median(np.array(approx_runs), axis=0)
-    return [
-        (p, float(exact_median[p - 1]), float(approx_median[p - 1]))
-        for p in range(1, max_lag + 1)
-    ]
+            next(sweep)
+            if run >= WARMUP:
+                runs[run - WARMUP, p - 1] = t1 - t0, time.perf_counter() - t1
+    median = np.median(runs, axis=0)
+    return [(p, float(exact), float(approx))
+            for p, (exact, approx) in enumerate(median, start=1)]

@@ -3,17 +3,20 @@
 The conditional MLE of an AR(p) model is the OLS solution of regressing
 ``y[p:]`` on its p lagged values.  Everything here goes through one
 Householder QR, `augmented_r`, which returns only the R factor of the
-chosen rows of ``[X | y]``.  It reads the rows in blocks of about 512 KiB:
-LAPACK's recursive compact-WY QR (``dgeqrt``, Elmroth & Gustavson) factors
-the first block and ``dtpqrt`` folds each later one into R, both mostly in
-matrix-matrix products.  The triangular system ``R[:p, :p] phi = R[:p, p]``
-gives the coefficients, and `window_factor` and `nested_factors` turn one R
-into the factors of every order and every lag 1..p, so each exact path
-factors its rows once.  Exact leverage scores are the squared row norms of
-Q = X R^-1, computed block by block, so Q is never formed either.  Normal
-equations are deliberately avoided; the kappa^2 conditioning loss would
-contaminate the score oracles.  A fit keeps its full-design residual norm
-only, so no `ARFit` holds an O(n) array.
+chosen rows of ``[X | y]``, taken as they lie in the series: the windows
+``[y[i], ..., y[i + p]]``, lag p first and the response last.  It reads the
+rows in blocks of about 512 KiB: LAPACK's recursive compact-WY QR
+(``dgeqrt``, Elmroth & Gustavson) factors the first block and ``dtpqrt``
+folds each later one into R, both mostly in matrix-matrix products.  The
+triangular system ``R[:p, :p] phi = R[:p, p]`` gives the coefficients
+(`solve_ols`), and the leading (q + 1, q + 1) block of R is the R factor of
+the order-q windows on the same rows, so one R holds the fits of every order
+1..p, and `nested_factors` turns it into those of every lag: each exact
+path factors its rows once.  Exact leverage scores are the squared row
+norms of Q = X R^-1, computed block by block, so Q is never formed either.
+Normal equations are deliberately avoided; the kappa^2 conditioning loss
+would contaminate the score oracles.  A fit keeps its full-design residual
+norm only, so no `ARFit` holds an O(n) array.
 
 The LAPACK and BLAS routines come straight from scipy's compiled f2py
 wrappers, ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, loaded by
@@ -183,36 +186,20 @@ def __getattr__(name):
 _this = sys.modules[__name__]
 
 
-def solve_triangular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x = b`` for upper-triangular ``a``.
-
-    The call is ``dtrtrs`` on the transpose, the one
-    ``scipy.linalg.solve_triangular`` makes for a non-contiguous ``a`` such
-    as ``R[:p, :p]``, so the result is bit-identical to scipy's.  As there,
-    a non-finite input raises ``ValueError`` and a singular ``a`` raises
-    ``LinAlgError``.
-    """
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    x, info = _this.lapack.dtrtrs(a.T, b, lower=1, trans=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
-    return x
-
-
 def augmented_r(design: ARDesign, indices: np.ndarray | None = None,
                 weights: np.ndarray | None = None) -> np.ndarray:
-    """R factor of the rows ``indices`` of ``[X | y]``, scaled by ``weights``.
+    """R factor of the windows ``y[i : i + p + 1]`` of the rows ``indices``,
+    scaled by ``weights``.
 
-    A sequential TSQR (Demmel, Grigori, Hoemmen & Langou, 2012) over the
-    row blocks of `ARDesign.blocks`: ``dgeqrt`` factors the first block and
-    ``dtpqrt`` folds each later one into R, so the rows are never held all
-    at once.  The result is the ``(p + 1, p + 1)`` upper-triangular
-    Fortran-ordered R; with fewer than p + 1 rows its last rows are zero.
-    Without ``indices`` every row is taken.
+    Its leading (q + 1, q + 1) block is the R factor of the windows
+    ``y[i : i + q + 1]`` of the same rows, so `solve_ols` of that block is
+    the order-q fit on them (Björck 1996, §2.7).  A sequential TSQR
+    (Demmel, Grigori, Hoemmen & Langou, 2012) over the row blocks of
+    `ARDesign.blocks`: ``dgeqrt`` factors the first block and ``dtpqrt``
+    folds each later one into R, so the rows are never held all at once.
+    The result is the ``(p + 1, p + 1)`` upper-triangular Fortran-ordered
+    R; with fewer than p + 1 rows its last rows are zero.  Without
+    ``indices`` every row is taken.
     """
     p = design.p
     nb = min(QR_BLOCK, p + 1)
@@ -234,27 +221,15 @@ def augmented_r(design: ARDesign, indices: np.ndarray | None = None,
     return r
 
 
-def window_factor(design: ARDesign, indices: np.ndarray | None = None,
-                  weights: np.ndarray | None = None) -> np.ndarray:
-    """`augmented_r` in window order ``[y[i], ..., y[i + p]]``; ``solve_ols``
-    of its leading (q + 1, q + 1) block is the order-q fit (Björck 1996, §2.7)."""
-    p = design.p
-    r = augmented_r(design, indices, weights)
-    f, _, info = _this.lapack.dgeqrt(min(QR_BLOCK, p + 1), r[:, [*range(p - 1, -1, -1), p]])
-    if info != 0:
-        raise NumericalError(f"QR of the order-{p} window factor failed: LAPACK info={info}")
-    return np.triu(f)
-
-
 def nested_factors(series: TimeSeries, max_lag: int):
     """Fresh R factors of the windows ``[y[i], ..., y[i + h]]`` over rows
-    i < n - h, for h = max_lag down to 1, from one `window_factor`.
+    i < n - h, for h = max_lag down to 1, from one `augmented_r`.
 
     Factor h without its last column, plus the row ``y[n - h:]``, is factor
-    h - 1; ``solve_ols`` of factor h gives the order-h fit, lag h first.
+    h - 1; ``solve_ols`` of factor h gives the order-h fit.
     """
     y = series.values
-    f, info = window_factor(make_design(series, max_lag)), 0
+    f, info = augmented_r(make_design(series, max_lag)), 0
     for h in range(max_lag, 0, -1):
         if info != 0:
             raise NumericalError(f"QR of the lag-{h} factor failed: LAPACK info={info}")
@@ -265,19 +240,28 @@ def nested_factors(series: TimeSeries, max_lag: int):
 
 
 def solve_ols(r: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients from the R factor of ``[X | y]``.
+    """Least-squares coefficients, lag 1 first, from the window-order R
+    factor of ``[X | y]`` (`augmented_r`).
 
-    The coefficients solve ``R[:p, :p] phi = R[:p, p]``, so Q is never
-    formed.  The rank check is relative, on the diagonal of ``R[:p, :p]``.
+    The coefficients, lag p first, solve ``R[:p, :p] phi = R[:p, p]``, so Q
+    is never formed.  The rank check is relative, on the diagonal of
+    ``R[:p, :p]``.  The solve is ``dtrtrs`` on the transpose, the call
+    ``scipy.linalg.solve_triangular`` makes for a non-contiguous ``R[:p, :p]``,
+    so the result is bit-identical to scipy's, reversed.  A non-finite or
+    singular factor raises `NumericalError`.
     """
     p = r.shape[1] - 1
     _check_rank(np.diag(r[:p, :p]), p)
-    try:
-        return solve_triangular(r[:p, :p], r[:p, p])
-    except ValueError as err:
-        # LinAlgError (a singular factor) is a ValueError, as is the
-        # rejection of a non-finite factor.
-        raise NumericalError(f"triangular solve failed: {err}") from err
+    if not np.isfinite(r[:p]).all():
+        raise NumericalError("triangular solve failed: array must not contain infs or NaNs")
+    phi, info = _this.lapack.dtrtrs(r[:p, :p].T, r[:p, p], lower=1, trans=1)
+    if info > 0:
+        raise NumericalError("triangular solve failed: singular matrix: "
+                             f"resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise NumericalError(f"triangular solve failed: illegal value in argument {-info} "
+                             "of dtrtrs")
+    return phi[::-1]
 
 
 def fit_from_coefficients(design: ARDesign, phi: np.ndarray) -> ARFit:
@@ -337,7 +321,7 @@ def exact_pacf(series: TimeSeries, max_lag: int) -> PacfTrace:
     estimates = np.full(max_lag, np.nan)
     for h, f in zip(range(max_lag, 0, -1), nested_factors(series, max_lag)):
         try:
-            estimates[h - 1] = solve_ols(f)[0]
+            estimates[h - 1] = solve_ols(f)[-1]
         except RankDeficiencyError:
             pass
     effective = n - max_lag

@@ -23,7 +23,8 @@ squared in place into the new scores: beside the series a refresh holds two
 n-vectors.  It draws one plan for the orders up to the next refresh, sized
 for the last; stale scores are a beta-approximation that the size rule of
 Drineas et al. (JMLR 2012) allows.  One QR of its rows serves them all
-(`window_factor`), and a rank-deficient block forces a refresh.
+(`augmented_r`, whose leading blocks are the nested fits), and a
+rank-deficient block forces a refresh.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DataError, NumericalError, RankDeficiencyError, ZeroResidualError
-from .exact import LeverageScores, solve_ols, window_factor
+from .exact import LeverageScores, augmented_r, solve_ols
 from .sampling import SampleSizeRule, draw_plan, reduced_fit, sample_size
 from .series import TimeSeries, make_design
 
@@ -112,7 +113,7 @@ def approximate_sweep(
 
     At order q the window holds the first ``n - target_order + q``
     observations, and the state's coefficients are the order-q solve on it,
-    from the leading (q + 1, q + 1) block of the `window_factor` of its
+    from the leading (q + 1, q + 1) block of the `augmented_r` of its
     interval's plan; the next refresh forms their residuals.  Without
     ``size_rule`` one interval takes every row, so the scores are exact.
     With one, each refresh draws a plan with seed words (seed, q, attempt)
@@ -155,14 +156,14 @@ def approximate_sweep(
                           and last_refresh / k <= refresh_ratio), target_order)
                 design = make_design(series.prefix(n - target_order + e), e)
                 if size_rule is None:
-                    s, factor = design.row_count, window_factor(design)
+                    s, factor = design.row_count, augmented_r(design)
                 else:
                     s = sample_size(size_rule, e, design.series.n,
                                     size_rule.delta_at(e, target_order))
                     cdf = scores.cdf() if cdf is None else cdf
                     factor = reduced_fit(design, draw_plan(scores, s, seed, q, attempt, cdf=cdf))
             try:
-                phi = solve_ols(factor[:q + 1, :q + 1])[::-1]
+                phi = solve_ols(factor[:q + 1, :q + 1])
                 break
             except RankDeficiencyError:
                 if size_rule is None or attempt:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DistributionError, SampleSizeError
-from .exact import LeverageScores, window_factor
+from .exact import LeverageScores, augmented_r
 from .series import ARDesign
 
 RNG_NAME = "philox"
@@ -194,7 +194,8 @@ def draw_plan(scores: LeverageScores, s: int, *seed_words, cdf: np.ndarray) -> S
 
 
 def reduced_fit(design: ARDesign, plan: SamplingPlan) -> np.ndarray:
-    """`window_factor` of the sampled rows, scaled by the plan weights.
+    """`augmented_r` of the sampled rows, scaled by the plan weights; the
+    leading (q + 1, q + 1) block of it gives the order-q fit on those rows.
 
     No O(n) pass is made: a refresh's `ARDesign.residuals`, or
     `fit_from_coefficients` for a norm, forms the full-design residual.
@@ -203,4 +204,4 @@ def reduced_fit(design: ARDesign, plan: SamplingPlan) -> np.ndarray:
         raise DistributionError(
             f"plan indices out of range for design with {design.row_count} rows"
         )
-    return window_factor(design, plan.indices, plan.weights)
+    return augmented_r(design, plan.indices, plan.weights)

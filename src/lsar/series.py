@@ -5,7 +5,8 @@ The design matrix of an AR(p) regression is Toeplitz: row i (0-based) is
 ``[y[i+p-1], y[i+p-2], ..., y[i]]`` with response ``y[i+p]``.  `ARDesign`
 exposes that matrix as a zero-copy view over the series; materialization
 is explicit and only used by oracles.  Solves read the rows they need of
-the augmented matrix ``[X | y]`` in row blocks of about 512 KiB instead
+the augmented matrix ``[X | y]`` as the windows ``y[i : i + p + 1]``, the
+lag columns in reverse, in row blocks of about 512 KiB instead
 (`ARDesign.blocks`), so no solve holds more than one block.  The
 full-design product ``X @ phi`` behind every residual (`ARDesign.residuals`)
 is a blocked Toeplitz matrix product over the series (`ARDesign.apply`),
@@ -110,26 +111,25 @@ class ARDesign:
 
     def blocks(self, indices: np.ndarray | None = None,
                weights: np.ndarray | None = None):
-        """Rows ``indices`` of ``[X | y]``, scaled by ``weights``, in row blocks.
+        """Windows ``y[i : i + p + 1]`` of the rows ``indices``, scaled by
+        ``weights``, in row blocks.
 
-        Yields fresh Fortran-ordered ``(b, p + 1)`` arrays of at most
-        ``max(p + 1, BLOCK_BYTES // (8 (p + 1)))`` rows each, gathered
-        straight from the series: column k holds ``y[i + p - 1 - k]`` and the
-        last column the response ``y[i + p]``.  Without ``indices`` every row
-        is taken in order.  Only one block is built at a time, so a caller
-        that consumes each block before the next never holds more.
+        Row i of ``[X | y]`` in window order is ``[y[i], ..., y[i + p]]``:
+        the lags from p down to 1, then the response.  Yields fresh
+        Fortran-ordered ``(b, p + 1)`` arrays of at most
+        ``max(p + 1, BLOCK_BYTES // (8 (p + 1)))`` rows each, the layout
+        LAPACK folds without a copy.  Without ``indices`` every row is taken
+        in order.  Only one block is built at a time, so a caller that
+        consumes each block before the next never holds more.
         """
-        p = self.p
-        # Window i is y[i : i + p + 1]: row i of X reversed, then its response.
-        windows = sliding_window_view(self.series.values, p + 1)
+        windows = sliding_window_view(self.series.values, self.p + 1)
         s = self.row_count if indices is None else indices.size
-        step = max(p + 1, BLOCK_BYTES // (8 * (p + 1)))
+        step = max(self.p + 1, BLOCK_BYTES // (8 * (self.p + 1)))
         for start in range(0, s, step):
             stop = min(start + step, s)
-            yield _augmented_block(
-                windows[start:stop] if indices is None else windows[indices[start:stop]],
-                None if weights is None else weights[start:stop],
-            )
+            rows = windows[start:stop] if indices is None else windows[indices[start:stop]]
+            yield (np.array(rows, order="F") if weights is None
+                   else np.multiply(rows, weights[start:stop, None], order="F"))
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """Compute ``X @ phi`` in O(n p) without materializing the matrix.
@@ -206,20 +206,6 @@ class ARGeneratorSpec:
         if self.burn_in is not None:
             return self.burn_in
         return 10 * self.order + 1000
-
-
-def _augmented_block(windows: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    """``[X | y]`` rows of the ``(b, p + 1)`` windows, scaled, in Fortran order."""
-    p = windows.shape[1] - 1
-    # A C-ordered (p + 1, b) array is the Fortran-ordered (b, p + 1) block.
-    block = np.empty((p + 1, windows.shape[0]))
-    if weights is None:
-        block[:p] = windows.T[p - 1::-1]
-        block[p] = windows[:, p]
-    else:
-        np.multiply(windows.T[p - 1::-1], weights, out=block[:p])
-        np.multiply(windows[:, p], weights, out=block[p])
-    return block.T
 
 
 def make_design(series: TimeSeries, p: int) -> ARDesign:

@@ -52,7 +52,7 @@ def contaminated_series(
 
 def reduced_solve(design, plan) -> np.ndarray:
     """Coefficients, lag 1 first, of the weighted OLS on the plan's rows."""
-    return solve_ols(reduced_fit(design, plan))[::-1]
+    return solve_ols(reduced_fit(design, plan))
 
 
 def hat_diagonal(x: np.ndarray) -> np.ndarray:

@@ -89,18 +89,20 @@ def r_factor(a):
 
 
 def gathered(design, indices=None, weights=None):
-    """Reference gather: rows ``indices`` of ``[X | y]`` by plain indexing."""
-    a = panel(design.rows, design.responses)
+    """Reference gather: rows ``indices`` of ``[X | y]`` in window order, lag
+    p first, by plain indexing."""
+    a = panel(design.rows[:, ::-1], design.responses)
     if indices is not None:
         a = a[indices]
     return a if weights is None else a * weights[:, None]
 
 
 def dgeqrf_solve(a):
-    """Reference solve: the blocked Householder QR ``dgeqrf``, R only."""
+    """Reference solve of a window-order panel: the blocked Householder QR
+    ``dgeqrf``, R only, with the coefficients turned to lag 1 first."""
     p = a.shape[1] - 1
     r = lapack.dgeqrf(np.array(a, order="F"))[0]
-    return solve_triangular(r[:p, :p], r[:p, p])
+    return solve_triangular(r[:p, :p], r[:p, p])[::-1]
 
 
 def signed(r):
@@ -122,7 +124,9 @@ class TestSolveOls:
         a = rng.normal(size=(40, 6))
         b = rng.normal(size=40)
         expected = np.linalg.lstsq(a, b, rcond=None)[0]
-        np.testing.assert_allclose(solve_ols(r_factor(panel(a, b))), expected, atol=1e-10)
+        # solve_ols reads its factor's columns in window order, last lag first.
+        np.testing.assert_allclose(solve_ols(r_factor(panel(a[:, ::-1], b))), expected,
+                                   atol=1e-10)
 
     def test_ill_conditioned_matches_lstsq(self):
         rng = np.random.default_rng(6)
@@ -132,7 +136,7 @@ class TestSolveOls:
         assert 0.5e8 < np.linalg.cond(a) < 2e8
         b = a @ rng.normal(size=6) + 1e-3 * rng.normal(size=200)
         expected = np.linalg.lstsq(a, b, rcond=None)[0]
-        phi = solve_ols(r_factor(panel(a, b)))
+        phi = solve_ols(r_factor(panel(a[:, ::-1], b)))
         # At kappa 1e8 the coefficients themselves are only determined to
         # about kappa * eps; the fitted values are well posed.
         np.testing.assert_allclose(
@@ -188,10 +192,10 @@ class TestSolveOls:
             fit_ols(random_design(20, 2, 1))
 
     def test_singular_triangular_solve_is_numerical_error(self, monkeypatch):
-        def singular(r, b):
-            raise np.linalg.LinAlgError("singular matrix")
-        monkeypatch.setattr(lsar.exact, "solve_triangular", singular)
-        with pytest.raises(NumericalError, match="singular"):
+        def singular(a, b, lower=0, trans=0):
+            return b, 2
+        monkeypatch.setattr(lsar.exact.lapack, "dtrtrs", singular)
+        with pytest.raises(NumericalError, match="singular matrix: .* at diagonal 1"):
             solve_ols(r_factor(panel(np.eye(3), np.ones(3))))
 
 
@@ -200,7 +204,7 @@ class TestSolveTriangular:
     def test_bit_identical_to_scipy_on_streamed_factors(self, p):
         r = augmented_r(random_design(4 * p + 300, p, p))
         expected = solve_triangular(r[:p, :p], r[:p, p])
-        assert np.array_equal(solve_ols(r), expected)
+        assert np.array_equal(solve_ols(r), expected[::-1])
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_bit_identical_to_scipy_at_kappa_1e8(self, order):
@@ -211,7 +215,7 @@ class TestSolveTriangular:
         b = a @ rng.normal(size=8) + 1e-3 * rng.normal(size=300)
         r = np.asarray(r_factor(panel(a, b)), order=order)
         expected = solve_triangular(r[:8, :8], r[:8, 8])
-        assert np.array_equal(solve_ols(r), expected)
+        assert np.array_equal(solve_ols(r), expected[::-1])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_factor_is_numerical_error(self, bad):
@@ -221,12 +225,13 @@ class TestSolveTriangular:
         with pytest.raises(NumericalError, match="infs or NaNs"):
             solve_ols(r)
 
-    def test_singular_factor_is_linalg_error(self):
-        # solve_ols maps this onto NumericalError (see TestSolveOls).
+    def test_singular_factor_is_numerical_error(self, monkeypatch):
+        # Past the rank check, LAPACK itself reports the zero pivot.
+        monkeypatch.setattr(lsar.exact, "_check_rank", lambda diag, rank: None)
         r = np.triu(np.ones((3, 3)))
         r[1, 1] = 0.0
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            lsar.exact.solve_triangular(r, np.ones(3))
+        with pytest.raises(NumericalError, match="resolution failed at diagonal 1"):
+            solve_ols(r)
 
 
 class TestWrapperLoading:
@@ -481,7 +486,7 @@ class TestNestedFactors:
         f = list(nested_factors(ar2_series, 9))[2]
         for q in range(1, h + 1):
             expected = fit_ols(make_design(ar2_series.prefix(n - h + q), q)).coefficients
-            np.testing.assert_allclose(solve_ols(f[: q + 1, : q + 1])[::-1], expected,
+            np.testing.assert_allclose(solve_ols(f[: q + 1, : q + 1]), expected,
                                        rtol=1e-12, atol=1e-14)
 
 

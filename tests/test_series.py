@@ -17,7 +17,7 @@ from lsar import (
     log_diff,
     make_design,
 )
-from lsar.series import APPLY_BLOCK
+from lsar.series import APPLY_BLOCK, BLOCK_BYTES
 
 
 class TestTimeSeries:
@@ -166,6 +166,33 @@ class TestMakeDesign:
         assert applied.flags.writeable and applied.flags.c_contiguous
         assert not np.shares_memory(applied, design.series.values)
         np.testing.assert_array_equal(applied, y[2:-1])
+
+    @pytest.mark.parametrize("p", [2, 5])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_blocks_are_fortran_ordered_weighted_windows(self, p, weighted):
+        # A block in C order would make each LAPACK fold copy it first.
+        step = max(p + 1, BLOCK_BYTES // (8 * (p + 1)))
+        rng = np.random.default_rng(p)
+        y = rng.normal(size=2 * step + 3 + p)
+        design = make_design(TimeSeries(y), p)
+
+        def check(blocks, sizes, expected):
+            assert [block.shape for block in blocks] == [(b, p + 1) for b in sizes]
+            for block in blocks:
+                assert block.dtype == np.float64 and block.flags.f_contiguous
+                assert block.flags.writeable and not np.shares_memory(block, y)
+            np.testing.assert_array_equal(np.concatenate(blocks), expected)
+
+        # One row; one full block; a full block then one row; then 7 rows.
+        for count in (1, step, step + 1, step + 7):
+            indices = rng.integers(0, design.row_count, count)
+            weights = rng.uniform(0.5, 2.0, count) if weighted else np.ones(count)
+            windows = np.array([y[i:i + p + 1] for i in indices]) * weights[:, None]
+            check(list(design.blocks(indices, weights if weighted else None)),
+                  [count] if count <= step else [step, count - step], windows)
+        # Every row in order: two full blocks and a partial one.
+        check(list(design.blocks()), [step, step, 3],
+              np.lib.stride_tricks.sliding_window_view(y, p + 1))
 
 
 def exactly_rounded_dots(rows, phi):
