@@ -42,6 +42,10 @@ class DivergenceError(NumericalError):
     """The synthetic AR recurrence exceeded the magnitude guard."""
 
 
+# Relative tolerance of the rank check on a triangular factor's diagonal.
+RANK_RTOL = 1e-10
+
+
 class RankDeficiencyError(NumericalError):
     """A least-squares design is numerically rank deficient."""
 
@@ -50,7 +54,7 @@ class RankDeficiencyError(NumericalError):
         self.required_rank = required_rank
         super().__init__(
             f"design is rank deficient: numerical rank {numerical_rank}, "
-            f"required {required_rank} (tolerance 1e-10 relative)"
+            f"required {required_rank} (tolerance {RANK_RTOL:g} relative)"
         )
 
 

@@ -32,10 +32,9 @@ WARMUP, REPETITIONS = 1, 3
 
 
 def _triangular_spectrum(r: np.ndarray) -> tuple[float, float]:
-    """Largest/smallest singular value of an upper-triangular factor."""
-    diag = np.abs(np.diag(r))
-    if diag.min() == 0.0:
-        raise RankDeficiencyError(int(np.count_nonzero(diag > 0)), r.shape[0])
+    """Largest/smallest singular value of an upper-triangular factor of full
+    rank by `_check_rank`."""
+    _check_rank(np.diag(r), r.shape[0])
     singular = np.linalg.svd(r, compute_uv=False)
     return float(singular[0]), float(singular[-1])
 
@@ -58,8 +57,6 @@ def conditioning(r: np.ndarray) -> float:
     """
     q = r.shape[1] - 1
     kappa = conditioning_kappa(r[:q, :q])
-    # The relative rank check of the least-squares solve.
-    _check_rank(np.diag(r[:q, :q]), q)
     explained = float(np.linalg.norm(r[:q, q]))
     total = float(np.linalg.norm(r[:, q]))
     xi = min(explained / total, 1.0) if total > 0 else 1.0

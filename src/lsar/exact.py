@@ -5,9 +5,9 @@ The conditional MLE of an AR(p) model is the OLS solution of regressing
 Householder QR, `augmented_r`, which returns only the R factor of the
 chosen rows of ``[X | y]``, taken as they lie in the series: the windows
 ``[y[i], ..., y[i + p]]``, lag p first and the response last.  It reads the
-rows in blocks of about 512 KiB: LAPACK's recursive compact-WY QR
-(``dgeqrt``, Elmroth & Gustavson) factors the first block and ``dtpqrt``
-folds each later one into R, both mostly in matrix-matrix products.  The
+rows in blocks of about 512 KiB and folds each into R with LAPACK's
+compact-WY ``dtpqrt``, mostly in matrix-matrix products, starting from a
+zero R: folding a block into a zero R gives that block's R.  The
 triangular system ``R[:p, :p] phi = R[:p, p]`` gives the coefficients
 (`solve_ols`), and the leading (q + 1, q + 1) block of R is the R factor of
 the order-q windows on the same rows, so one R holds the fits of every order
@@ -37,11 +37,10 @@ from importlib.util import module_from_spec
 
 import numpy as np
 
-from .errors import DataError, NumericalError, RankDeficiencyError
+from .errors import RANK_RTOL, DataError, NumericalError, RankDeficiencyError
 from .series import ARDesign, TimeSeries, make_design
 
-RANK_RTOL = 1e-10
-# Block size of the compact-WY QR of the first row block and of each fold.
+# Block size of the compact-WY QR of each fold.
 # On 512 KiB row blocks, the solves of a pbar = 100 run took about 15 % less
 # time with 8 than with 24.
 QR_BLOCK = 8
@@ -186,6 +185,17 @@ def __getattr__(name):
 _this = sys.modules[__name__]
 
 
+def _fold(r: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """R factor of ``[r; block]`` for an upper-triangular ``r``, by
+    ``dtpqrt``, which may overwrite both.  A LAPACK failure raises
+    `NumericalError`."""
+    r, _, _, info = _this.lapack.dtpqrt(0, min(QR_BLOCK, r.shape[1]), r, block,
+                                        overwrite_a=True, overwrite_b=True)
+    if info != 0:
+        raise NumericalError(f"QR of a {block.shape} row block failed: LAPACK info={info}")
+    return r
+
+
 def augmented_r(design: ARDesign, indices: np.ndarray | None = None,
                 weights: np.ndarray | None = None) -> np.ndarray:
     """R factor of the windows ``y[i : i + p + 1]`` of the rows ``indices``,
@@ -194,30 +204,16 @@ def augmented_r(design: ARDesign, indices: np.ndarray | None = None,
     Its leading (q + 1, q + 1) block is the R factor of the windows
     ``y[i : i + q + 1]`` of the same rows, so `solve_ols` of that block is
     the order-q fit on them (Björck 1996, §2.7).  A sequential TSQR
-    (Demmel, Grigori, Hoemmen & Langou, 2012) over the row blocks of
-    `ARDesign.blocks`: ``dgeqrt`` factors the first block and ``dtpqrt``
-    folds each later one into R, so the rows are never held all at once.
-    The result is the ``(p + 1, p + 1)`` upper-triangular Fortran-ordered
-    R; with fewer than p + 1 rows its last rows are zero.  Without
-    ``indices`` every row is taken.
+    (Demmel, Grigori, Hoemmen & Langou, 2012): starting from a zero R, each
+    row block of `ARDesign.blocks` is folded in, so the rows are never held
+    all at once.  The result is the ``(p + 1, p + 1)`` upper-triangular
+    Fortran-ordered R.  With fewer than p + 1 rows, an empty plan included,
+    it is rank deficient, and `solve_ols` rejects it.  Without ``indices``
+    every row is taken.
     """
-    p = design.p
-    nb = min(QR_BLOCK, p + 1)
-    r = None
+    r = np.zeros((design.p + 1, design.p + 1), order="F")
     for block in design.blocks(indices, weights):
-        if r is None:
-            k = min(block.shape[0], p + 1)
-            block, _, info = _this.lapack.dgeqrt(min(nb, k), block, overwrite_a=True)
-            r = np.zeros((p + 1, p + 1), order="F")
-            r[:k] = np.triu(block[:k])
-        else:
-            # dtpqrt reads and writes only the upper triangle of r.
-            r, _, _, info = _this.lapack.dtpqrt(0, nb, r, block, overwrite_a=True,
-                                                overwrite_b=True)
-        if info != 0:
-            raise NumericalError(f"QR of a {block.shape} row block failed: LAPACK info={info}")
-    if r is None:
-        raise RankDeficiencyError(0, p)
+        r = _fold(r, block)
     return r
 
 
@@ -229,14 +225,12 @@ def nested_factors(series: TimeSeries, max_lag: int):
     h - 1; ``solve_ols`` of factor h gives the order-h fit.
     """
     y = series.values
-    f, info = augmented_r(make_design(series, max_lag)), 0
+    f = augmented_r(make_design(series, max_lag))
     for h in range(max_lag, 0, -1):
-        if info != 0:
-            raise NumericalError(f"QR of the lag-{h} factor failed: LAPACK info={info}")
         yield f
         if h > 1:
-            # No overwrite flags: the wrapper folds copies, never the series.
-            f, _, _, info = _this.lapack.dtpqrt(0, min(QR_BLOCK, h), f[:h, :h], y[None, -h:])
+            # Folds copies: neither the yielded factor nor the series is written.
+            f = _fold(f[:h, :h].copy(order="F"), y[None, -h:].copy())
 
 
 def solve_ols(r: np.ndarray) -> np.ndarray:

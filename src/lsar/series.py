@@ -190,6 +190,9 @@ class ARGeneratorSpec:
     def __post_init__(self):
         phi = np.atleast_1d(np.asarray(self.coefficients, dtype=np.float64))
         object.__setattr__(self, "coefficients", phi)
+        bad = np.flatnonzero(~np.isfinite(phi))
+        if bad.size:
+            raise DataError(f"coefficients must be finite, got phi_{bad[0] + 1} = {phi[bad[0]]}")
         if not 0 < self.noise_std < math.inf:
             raise DataError(f"noise_std must be positive and finite, got {self.noise_std}")
         if self.n < 2:

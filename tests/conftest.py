@@ -1,11 +1,13 @@
 """Shared fixtures: seeded synthetic series and small oracle helpers."""
 
-import numpy as np
-import pytest
-
+# lsar before numpy, as the ``lsar`` command loads them: numpy's BLAS gets
+# lsar's one-thread default only if it is not loaded yet.
 from lsar import ARGeneratorSpec, TimeSeries, generate_ar, make_rng
 from lsar.exact import solve_ols
 from lsar.sampling import reduced_fit
+
+import numpy as np
+import pytest
 
 
 def phi_from_partial_autocorrs(ks):

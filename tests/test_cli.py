@@ -63,6 +63,15 @@ class TestGenerate:
         assert "DataError noise_std must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("phi", ["nan", "inf"])
+    def test_nonfinite_phi_is_data_error(self, tmp_path, capsys, phi):
+        out = tmp_path / "x.csv"
+        code = run(["generate", "--phi", "0.5", phi, "--n", "100", "--out", str(out)])
+        assert code == EXIT_DATA
+        assert (f"DataError coefficients must be finite, got phi_2 = {phi}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestIngest:
     def test_log_diff_matches_core_op(self, tmp_path, capsys):
@@ -545,6 +554,18 @@ class TestEval:
                     "--out", str(out)])
         assert code == EXIT_DATA
         assert "c_log must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pbar", ["3", "5"])
+    def test_bounds_on_a_rank_deficient_design_is_numerical_error(self, tmp_path, capsys,
+                                                                   pbar):
+        # sin(0.3 t) obeys an exact order-2 recurrence, so the lag-3 design
+        # has rank 2, and its kappa_p is undefined however far pbar reaches.
+        gen = series_file(tmp_path, np.sin(0.3 * np.arange(2000)).tolist())
+        out = tmp_path / "o.csv"
+        code = run(["eval", "bounds", "--input", gen, "--pbar", pbar, "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "RankDeficiencyError" in capsys.readouterr().err
         assert not out.exists()
 
     def test_lag_study_requires_pbar(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from lsar import (
     DataError,
     LeverageScores,
     LsarConfig,
+    NumericalError,
     RankDeficiencyError,
     SampleSizeRule,
     SizeMode,
@@ -20,7 +21,7 @@ from lsar import (
     make_design,
     run_lsar,
 )
-from lsar import evalbench
+from lsar import evalbench, exact
 from lsar.evalbench import (
     bound_curves,
     bound_linear_value,
@@ -122,6 +123,22 @@ def test_series_is_never_written(path, ar2_series):
     EXACT_PATHS[path](y)
     assert y.values.tobytes() == before
     assert not y.values.flags.writeable
+
+
+@pytest.mark.parametrize("path", ["bound_curves", "exact_pacf"])
+def test_failing_nested_fold_is_numerical_error(path, ar2_series, monkeypatch):
+    # The nested factors fold one row per lag; a LAPACK failure there
+    # surfaces with its info, as in the row-block folds of augmented_r.
+    fold = exact.lapack.dtpqrt
+
+    def failing_on_one_row(l, nb, a, b, **overwrite):
+        if b.shape[0] == 1:
+            return a, b, np.zeros((nb, a.shape[1])), -4
+        return fold(l, nb, a, b, **overwrite)
+
+    monkeypatch.setattr(exact.lapack, "dtpqrt", failing_on_one_row)
+    with pytest.raises(NumericalError, match=r"\(1, 6\) row block failed: LAPACK info=-4"):
+        EXACT_PATHS[path](ar2_series.prefix(500))
 
 
 class TestBoundCurves:

@@ -179,15 +179,18 @@ class TestSolveOls:
         assert np.linalg.norm(phi - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_empty_panel_is_rank_deficient(self):
+        # No rows fold into the zero R, which the rank check then rejects.
+        r = augmented_r(random_design(20, 3, 1), np.empty(0, dtype=np.intp), np.empty(0))
+        assert np.array_equal(r, np.zeros((4, 4)))
         with pytest.raises(RankDeficiencyError) as err:
-            augmented_r(random_design(20, 3, 1), np.empty(0, dtype=np.intp), np.empty(0))
+            solve_ols(r)
         assert err.value.numerical_rank == 0
         assert err.value.required_rank == 3
 
     def test_lapack_failure_is_numerical_error(self, monkeypatch):
-        def failing(nb, a, overwrite_a=False):
-            return a, np.zeros((nb, min(a.shape))), -2
-        monkeypatch.setattr(lsar.exact.lapack, "dgeqrt", failing)
+        def failing(l, nb, a, b, overwrite_a=False, overwrite_b=False):
+            return a, b, np.zeros((nb, a.shape[1])), -2
+        monkeypatch.setattr(lsar.exact.lapack, "dtpqrt", failing)
         with pytest.raises(NumericalError, match="info=-2"):
             fit_ols(random_design(20, 2, 1))
 

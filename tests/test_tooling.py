@@ -2,7 +2,8 @@
 name; a renamed or deleted entry point must fail here, not only in a traced
 benchmark run, and so must a change that makes the benchmark's own output
 checks fail on its tiny inputs.  No name or dataclass field defined in
-``src/lsar`` may exist for tests alone, and no CLI flag may go unread."""
+``src/lsar`` may exist for tests alone, no CLI flag may go unread, and
+LAPACK and BLAS are reached only through the routines README names."""
 
 import argparse
 import ast
@@ -18,6 +19,7 @@ import lsar.cli
 import lsar.recursion
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+README = os.path.join(ROOT, "README.md")
 TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
 SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "lsar", "*.py")))
 # Flags that their command accepts without reading them, with the reason.
@@ -101,6 +103,23 @@ def _unread(node, read):
     """True for a function or class, not a dunder, whose name is not in ``read``."""
     return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not re.fullmatch(r"__\w+__", node.name) and node.name not in read)
+
+
+def test_lapack_and_blas_only_through_the_routines_readme_names():
+    # src/lsar reaches scipy's wrappers as ``<module>.lapack.<routine>`` and
+    # ``<module>.blas.<routine>``, each routine from one call site.
+    called = []
+    for path in SOURCES:
+        for node in ast.walk(_parse(path)):
+            wrapper = getattr(node, "value", None)
+            if (isinstance(node, ast.Attribute)
+                    and getattr(wrapper, "attr", getattr(wrapper, "id", None))
+                    in ("lapack", "blas")):
+                called.append(node.attr)
+    with open(README, encoding="utf-8") as fh:
+        named = re.search(r"LAPACK/BLAS routines \(([^)]*)\)", fh.read().replace("\n", " "))
+    assert named is not None
+    assert sorted(called) == sorted(re.findall(r"`(\w+)`", named.group(1)))
 
 
 def _commands(parser, name=""):
