@@ -285,12 +285,11 @@ def cmd_lsar(args) -> int:
              float(r.pacf_estimate), float(r.bandwidth))
             for r in result.per_order_log
         ]
-        total_time = sum(r.wall_time for r in result.per_order_log)
         meta = {"command": "lsar", "n": series.n, "pbar": args.pbar,
                 **sampling_metadata(cfg.size_rule, cfg.seed),
                 "bandwidth_multiplier": cfg.bandwidth_multiplier,
                 **refresh_metadata(result), "selected_order": result.selected_order,
-                "total_wall_time": float(total_time), **runtime_metadata(), **uncentred}
+                "total_wall_time": result.wall_time, **runtime_metadata(), **uncentred}
         report.write_csv_report(
             args.out,
             ["p", "window", "s", "clamp_count", "residual_norm", "pacf",

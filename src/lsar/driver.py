@@ -52,6 +52,8 @@ class LsarConfig:
 
 @dataclass(frozen=True)
 class OrderRecord:
+    """One order's row of the run log; runs with the same seed give equal rows."""
+
     p: int
     window: int
     sample_size: int
@@ -59,7 +61,6 @@ class OrderRecord:
     residual_norm: float
     pacf_estimate: float
     bandwidth: float
-    wall_time: float  # a refresh's draw and factor count at its own order
     refreshed: bool
 
 
@@ -69,6 +70,7 @@ class LsarResult:
     final_fit: ARFit | None
     pacf: PacfTrace
     per_order_log: tuple[OrderRecord, ...]
+    wall_time: float  # of the whole sweep
     aborted_at: int | None = None
     abort_reason: str | None = None
 
@@ -95,11 +97,10 @@ def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
     coefficients: list[np.ndarray] = []
     aborted_at = None
     abort_reason = None
-    t0 = time.perf_counter()
+    start = time.perf_counter()
     try:
         for state in approximate_sweep(series, cfg.max_order, cfg.size_rule, cfg.seed,
                                        REFRESH_RATIO):
-            t1 = time.perf_counter()
             band = cfg.bandwidth_multiplier * ZERO_CONFIDENCE_Z / math.sqrt(state.sample_size)
             if records:  # the norm of the previous order's residual, if formed
                 records[-1] = replace(records[-1], residual_norm=state.residual_norm)
@@ -107,26 +108,22 @@ def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
                 p=state.p, window=state.window, sample_size=state.sample_size,
                 clamp_count=state.scores.clamp_count if state.refreshed else 0,
                 residual_norm=math.nan, pacf_estimate=float(state.coefficients[-1]),
-                bandwidth=band, wall_time=t1 - t0, refreshed=state.refreshed))
+                bandwidth=band, refreshed=state.refreshed))
             coefficients.append(state.coefficients)
             # Let go of this order's scores before the sweep computes the
             # next order, so they are freed as soon as it has advanced them.
             del state
-            t0 = t1
     except ZeroResidualError as err:
         aborted_at = err.order
         abort_reason = str(err)
         records[-1] = replace(records[-1], residual_norm=err.residual_norm)
+    wall_time = time.perf_counter() - start
 
     estimates = np.array([r.pacf_estimate for r in records])
     bands = np.array([r.bandwidth for r in records])
     selected = select_order(estimates, bands)
-    pacf = PacfTrace(
-        estimates=estimates,
-        bandwidth=bands,
-        effective_sample=records[-1].sample_size if records else 1,
-        selected_order=selected,
-    )
+    pacf = PacfTrace(estimates=estimates, bandwidth=bands,
+                     effective_sample=records[-1].sample_size, selected_order=selected)
     final_fit = None
     if selected >= 1 and cfg.refit_full:
         final_fit = fit_ols(make_design(series, selected))
@@ -134,11 +131,6 @@ def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
         window = series.prefix(records[selected - 1].window)
         final_fit = fit_from_coefficients(make_design(window, selected),
                                           coefficients[selected - 1])
-    return LsarResult(
-        selected_order=selected,
-        final_fit=final_fit,
-        pacf=pacf,
-        per_order_log=tuple(records),
-        aborted_at=aborted_at,
-        abort_reason=abort_reason,
-    )
+    return LsarResult(selected_order=selected, final_fit=final_fit, pacf=pacf,
+                      per_order_log=tuple(records), wall_time=wall_time,
+                      aborted_at=aborted_at, abort_reason=abort_reason)

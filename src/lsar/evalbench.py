@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .errors import DataError, RankDeficiencyError
+from .errors import DataError, RankDeficiencyError, ZeroResidualError
 from .exact import LeverageScores, _check_rank, check_max_lag, exact_leverage, \
     fit_from_coefficients, fit_ols, nested_factors, solve_ols
 from .recursion import approximate_sweep
@@ -60,7 +60,8 @@ def conditioning(r: np.ndarray) -> float:
     explained = float(np.linalg.norm(r[:q, q]))
     total = float(np.linalg.norm(r[:, q]))
     xi = min(explained / total, 1.0) if total > 0 else 1.0
-    return kappa * math.sqrt(max(xi**-2 - 1.0, 0.0))
+    # A fit that explains none of y has eta = +inf by this definition.
+    return kappa * math.sqrt(max(xi**-2 - 1.0, 0.0)) if xi > 0 else math.inf
 
 
 def mpre(exact: LeverageScores, approx: LeverageScores) -> float:
@@ -154,6 +155,12 @@ def ratio_study(
         raise DataError(f"all sample sizes must be >= p + 1 = {p + 1}")
     full = fit_ols(design)
     phi_norm = float(np.linalg.norm(full.coefficients))
+    # The relative errors divide by both; checked before any draw, as `mpre` does.
+    if phi_norm == 0:
+        raise DataError(f"the full-data coefficients at p={p} are all zero; "
+                        "relative errors undefined")
+    if full.residual_norm == 0:
+        raise ZeroResidualError(p, 0.0)
     scores = exact_leverage(design)
     cdf = scores.cdf()
     rows = []

@@ -15,16 +15,18 @@ For a target order p on a series of length n, intermediate order q runs on
 the window of the first ``n - p + q`` observations, so every score vector
 in the sweep has the same length ``n - p``.
 
-Order q refreshes, forming new scores and their CDF, when r/q <= the sweep's
+Order q refreshes, forming new scores, when r/q <= the sweep's
 ``refresh_ratio``, r being the last order that did; the default 1.0 is the
 paper's every order.  A refresh at q adds q - r times the normalized squared
 residual of order q - 1, the only full-design residual the sweep forms,
 squared in place into the new scores: beside the series a refresh holds two
-n-vectors.  It draws one plan for the orders up to the next refresh, sized
-for the last; stale scores are a beta-approximation that the size rule of
-Drineas et al. (JMLR 2012) allows.  One QR of its rows serves them all
-(`augmented_r`, whose leading blocks are the nested fits), and a
-rank-deficient block forces a refresh.
+n-vectors, the CDF of its draw included.  It draws one plan for the orders
+up to the next refresh, sized for the last, and one QR of its rows serves
+them all (`augmented_r`); a rank-deficient block forces a refresh.  Stale
+scores are not the beta-approximation the size rule of Drineas et al. (JMLR
+2012) assumes: their smallest per-row ratio to exact scores measured
+0.007-0.074 on AR(20) data, under the rule's beta floor of 0.1.  `eval mpre`
+and criterion 5 measure the every-order sweep, not this one.
 """
 
 from __future__ import annotations
@@ -115,32 +117,35 @@ def approximate_sweep(
     observations, and the state's coefficients are the order-q solve on it,
     from the leading (q + 1, q + 1) block of the `augmented_r` of its
     interval's plan; the next refresh forms their residuals.  Without
-    ``size_rule`` one interval takes every row, so the scores are exact.
-    With one, each refresh draws a plan with seed words (seed, q, attempt)
-    for the orders before the next scheduled one, e the last, of as many rows
-    as ``size_rule`` sets at e and ``size_rule.delta_at(e, target_order)``;
-    it draws again with attempt 1 if the block at q is rank deficient.  The
+    ``size_rule`` one interval, factored before order 1, takes every row, so
+    the scores are exact.  With one, each refresh draws a plan with seed
+    words (seed, q, attempt) from a CDF built for that draw, for the orders
+    before the next scheduled one, e the last, of as many rows as
+    ``size_rule`` sets at e and ``size_rule.delta_at(e, target_order)``; it
+    draws again with attempt 1 if the block at q is rank deficient.  The
     exact sweep refreshes every order.  Deterministic given ``seed``.
     """
     n = series.n
-    if target_order < 1 or n - target_order < 1:
-        raise DataError(f"bad sweep bounds: target {target_order}, n {n}")
-    last_refresh, scores, phi, cdf, factor = 0, None, None, None, None
+    if target_order < 1 or n - target_order < 1 or not refresh_ratio >= 0:
+        raise DataError(f"bad sweep bounds: target {target_order}, n {n}, "
+                        f"refresh ratio {refresh_ratio}")
+    y = series.values
+    scores = ar1_scores(series.prefix(n - target_order + 1))
+    # |window|^2 before order 1, grown by one square per order below.
+    window_norm2 = float(np.dot(y[:n - target_order], y[:n - target_order]))
+    if size_rule is None:  # one interval of every row
+        design = make_design(series, target_order)
+        s, factor = design.row_count, augmented_r(design)
+    last_refresh = 0
     for q in range(1, target_order + 1):
         window = n - target_order + q
+        last = float(y[window - 1])
+        window_norm2 += last * last
         refresh = last_refresh / q <= refresh_ratio
         residual_norm = math.nan
-        if q == 1:
-            scores = ar1_scores(series.prefix(window))
-            # |window|^2, grown by one square per order below.
-            window_norm2 = float(np.dot(series.values[:window], series.values[:window]))
-        else:
-            last = float(series.values[window - 1])
-            window_norm2 += last * last
         attempt = 0
         while True:  # again only when the factor is rank deficient at q
             if q > 1 and refresh and not attempt:
-                cdf = None  # freed before the residual is formed
                 residuals = make_design(series.prefix(window - 1), q - 1).residuals(phi)
                 residual_norm = float(np.linalg.norm(residuals))
                 # A perfect previous fit makes the increment 0/0; abort rather
@@ -150,18 +155,15 @@ def approximate_sweep(
                 scores = _advance(scores, residuals, residual_norm, size_rule is not None,
                                   q - last_refresh)
             last_refresh = q if refresh else last_refresh
-            if factor is None or size_rule is not None and refresh:
+            if refresh and size_rule is not None:
                 # The interval ends before the next scheduled refresh.
-                e = next((k - 1 for k in range(q + 1, target_order + 1) if size_rule
-                          and last_refresh / k <= refresh_ratio), target_order)
+                e = next((k - 1 for k in range(q + 1, target_order + 1)
+                          if last_refresh / k <= refresh_ratio), target_order)
                 design = make_design(series.prefix(n - target_order + e), e)
-                if size_rule is None:
-                    s, factor = design.row_count, augmented_r(design)
-                else:
-                    s = sample_size(size_rule, e, design.series.n,
-                                    size_rule.delta_at(e, target_order))
-                    cdf = scores.cdf() if cdf is None else cdf
-                    factor = reduced_fit(design, draw_plan(scores, s, seed, q, attempt, cdf=cdf))
+                s = sample_size(size_rule, e, design.series.n,
+                                size_rule.delta_at(e, target_order))
+                factor = reduced_fit(design, draw_plan(scores, s, seed, q, attempt,
+                                                       cdf=scores.cdf()))
             try:
                 phi = solve_ols(factor[:q + 1, :q + 1])
                 break

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-import tempfile
 import warnings
 from typing import Iterable, Mapping
 
@@ -168,22 +167,22 @@ def _atomic_write(path: str, chunks: Iterable[str | bytes], binary: bool = False
     """Write the concatenated ``chunks`` (``bytes`` when ``binary``) to
     ``path`` through a renamed temporary sibling.
 
-    The file gets the mode ``open(path, "w")`` would create it with, not
-    ``mkstemp``'s 0600, which the rename would keep.  An ``OSError`` is
-    raised as a ``DataError`` that names ``path``, not the temporary file.
+    The sibling is created only if no file has its name, with mode 0666
+    less the umask as ``open(path, "w")`` would create ``path``, and the
+    rename keeps that mode.  An ``OSError`` is raised as a ``DataError``
+    that names ``path``, not the temporary file.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".report-{os.urandom(6).hex()}.tmp")
+    created = False
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        created = True  # from here on the sibling is ours to remove
         with os.fdopen(fd, "wb" if binary else "w") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException as err:
-        if tmp is not None and os.path.exists(tmp):
+        if created and os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(err, OSError):
             raise DataError(f"cannot write {path}: {err.strerror or err}") from err

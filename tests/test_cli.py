@@ -3,11 +3,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lsar
@@ -568,6 +569,36 @@ class TestEval:
         assert "RankDeficiencyError" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pbar", [2, 3])
+    def test_bounds_when_a_fit_explains_none_of_the_response(self, tmp_path, pbar):
+        # Zeros with one 1.0: from lag 2 on, the fit's regressors are zero
+        # wherever its response is not, so xi = 0 and eta is +inf.
+        gen = series_file(tmp_path, np.eye(1, 1000, 500)[0])
+        out = tmp_path / "o.csv"
+        assert run(["eval", "bounds", "--input", gen, "--pbar", str(pbar),
+                    "--out", str(out)]) == 0
+        rows = [line.strip().split(",") for line in body_lines(out)[1:]]
+        assert [row[2:4] for row in rows] == [["0", "0"]] + [["inf", "inf"]] * (pbar - 1)
+
+    def test_ratios_on_all_zero_full_coefficients_is_data_error(self, tmp_path, capsys):
+        gen = series_file(tmp_path, np.eye(1, 50, 25)[0])
+        out = tmp_path / "o.csv"
+        code = run(["eval", "ratios", "--input", gen, "--p", "1", "--sizes", "6",
+                    "--reps", "2", "--out", str(out)])
+        assert code == EXIT_DATA
+        assert ("DataError the full-data coefficients at p=1 are all zero"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_ratios_on_a_perfect_full_fit_is_numerical_error(self, tmp_path, capsys):
+        gen = series_file(tmp_path, 0.5 ** np.arange(60.0))
+        out = tmp_path / "o.csv"
+        code = run(["eval", "ratios", "--input", gen, "--p", "1", "--sizes", "4",
+                    "--reps", "2", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "ZeroResidualError residual norm is zero at order 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lag_study_requires_pbar(self, tmp_path, capsys):
         gen = series_file(tmp_path, np.arange(1.0, 50.0).tolist())
         with pytest.raises(SystemExit) as info:
@@ -590,6 +621,47 @@ class TestEval:
                     "--delta0", "1e-320", "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_DATA
         assert "delta is too small for this data size" in capsys.readouterr().err
+
+
+# Finite series that have broken commands before: noise, perfect fits,
+# sparse and rank-deficient designs, and scales near the ends of the range.
+SERIES_KINDS = {
+    "noise": lambda rng, n: rng.normal(size=n),
+    "constant": lambda rng, n: np.full(n, 3.0),
+    "spike": lambda rng, n: np.eye(1, n, int(rng.integers(n)))[0],
+    "halving": lambda rng, n: 0.5 ** np.arange(n),
+    "alternating": lambda rng, n: (-1.0) ** np.arange(n),
+    "period3": lambda rng, n: np.resize([1.0, 2.0, -1.0], n),
+    "tiny": lambda rng, n: rng.normal(size=n) * 1e-150,
+    "huge": lambda rng, n: rng.normal(size=n) * 1e150,
+}
+# Each command that reads a series; {p} is its order flag's value, {s} a
+# sample size above it.
+SERIES_COMMANDS = [
+    "lsar --pbar {p}", "lsar --pbar {p} --fraction 0.3", "pacf --exact --pbar {p}",
+    "pacf --sampled --pbar {p} --fraction 0.3", "fit --p {p}",
+    "eval mpre --pbar {p} --fraction 0.3", "eval bounds --pbar {p}",
+    "eval ratios --p {p} --sizes {s} --reps 2", "eval timing --pbar {p} --fraction 0.3",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(SERIES_KINDS)), n=st.integers(2, 200),
+       command=st.sampled_from(SERIES_COMMANDS), p=st.integers(1, 8),
+       extra=st.integers(0, 40), seed=st.integers(0, 2**16))
+@example(kind="spike", n=200, command=SERIES_COMMANDS[6], p=2, extra=0, seed=3)
+@example(kind="spike", n=50, command=SERIES_COMMANDS[7], p=1, extra=4, seed=3)
+@example(kind="halving", n=60, command=SERIES_COMMANDS[7], p=1, extra=2, seed=0)
+def test_finite_input_gives_an_exit_code(kind, n, command, p, extra, seed):
+    # Every failure on a finite series is an LsarError, so the command
+    # exits 3 or 4 and never ends in a traceback.
+    values = SERIES_KINDS[kind](np.random.default_rng(seed), n)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "y.csv")
+        write_series(path, TimeSeries(values))
+        argv = command.format(p=p, s=p + 1 + extra).split()
+        assert main(argv + ["--input", path, "--out", os.path.join(tmp, "o.csv")]) in (
+            0, EXIT_DATA, EXIT_NUMERICAL)
 
 
 class TestAtomicWrites:
@@ -625,6 +697,31 @@ class TestAtomicWrites:
             os.umask(old)
         for name in ("g.csv", "g.csv" + report.SIDECAR_SUFFIX, "r.csv", "r.txt"):
             assert os.stat(tmp_path / name).st_mode & 0o777 == mode, name
+
+
+    def test_the_umask_is_never_set(self, tmp_path, monkeypatch):
+        # Setting the umask, even to restore it, changes the mode of files
+        # that other threads create meanwhile.
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        gen = tmp_path / "g.csv"
+        assert run(["generate", "--phi", "0.5", "--n", "100", "--out", str(gen)]) == 0
+        assert run(["fit", "--input", str(gen), "--p", "1",
+                    "--out", str(tmp_path / "f.csv")]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["f.csv", "g.csv", "g.csv" + report.SIDECAR_SUFFIX]
+
+    def test_a_name_collision_leaves_the_other_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "urandom", bytes)  # every temporary name the same
+        other = tmp_path / f".report-{bytes(6).hex()}.tmp"
+        other.write_text("not the writer's")
+        out = tmp_path / "g.csv"
+        code = run(["generate", "--phi", "0.5", "--n", "100", "--out", str(out)])
+        assert code == EXIT_DATA
+        assert f"cannot write {out}: File exists" in capsys.readouterr().err
+        assert other.read_text() == "not the writer's"
+        assert sorted(os.listdir(tmp_path)) == [other.name]
 
 
 class TestWriteSeries:

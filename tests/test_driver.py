@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -29,19 +30,14 @@ from conftest import reduced_solve
 FRACTION_RULE = SampleSizeRule(SizeMode.FRACTION, fraction=0.05)
 
 
-def strip_wall_time(record):
-    return (record.p, record.window, record.sample_size, record.clamp_count,
-            record.residual_norm, record.pacf_estimate, record.bandwidth)
-
-
 def run_outcome(series, cfg):
-    """A run's per-order log without wall times, as bytes so that NaNs
-    compare equal, with its selection and final fit; or the error raised."""
+    """A run's per-order log, as bytes so that NaNs compare equal, with its
+    selection and final fit; or the error raised."""
     try:
         result = run_lsar(series, cfg)
     except LsarError as err:
         return type(err), str(err)
-    log = np.array([strip_wall_time(r) + (r.refreshed,) for r in result.per_order_log])
+    log = np.array([dataclasses.astuple(r) for r in result.per_order_log])
     fit = result.final_fit
     return (log.tobytes(), result.selected_order, result.aborted_at,
             None if fit is None else (fit.coefficients.tobytes(), fit.residual_norm))
@@ -49,8 +45,8 @@ def run_outcome(series, cfg):
 
 class TestRunLsar:
     def test_refresh_holds_two_n_vectors(self):
-        # A refresh drops the last CDF before it forms the residual, which
-        # then becomes the new scores in place: beside the series, the old
+        # No CDF outlives the draw that searches it, and a refresh's residual
+        # becomes the new scores in place: beside the series, the old
         # scores and that one buffer are alive, plus a row block of a solve.
         # Holding the residual next to the new scores would make it three.
         y = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 10**6, seed=3))
@@ -108,9 +104,7 @@ class TestRunLsar:
         cfg = LsarConfig(max_order=6, size_rule=FRACTION_RULE, seed=4)
         a = run_lsar(y, cfg)
         b = run_lsar(y, cfg)
-        assert [strip_wall_time(r) for r in a.per_order_log] == [
-            strip_wall_time(r) for r in b.per_order_log
-        ]
+        assert a.per_order_log == b.per_order_log
         np.testing.assert_array_equal(
             a.final_fit.coefficients, b.final_fit.coefficients
         )

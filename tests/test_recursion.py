@@ -222,6 +222,12 @@ class TestApproximateSweep:
         with pytest.raises(DataError):
             list(approximate_sweep(ar1_series, 0, FRACTION_RULE, seed=0))
 
+    @pytest.mark.parametrize("ratio", [-1.0, math.nan])
+    def test_a_ratio_that_never_refreshes_is_rejected(self, ar1_series, ratio):
+        # Order 1 must refresh to draw the first plan.
+        with pytest.raises(DataError, match="refresh ratio"):
+            list(approximate_sweep(ar1_series, 3, FRACTION_RULE, 0, ratio))
+
     @pytest.mark.parametrize("rule", [None, FRACTION_RULE], ids=["full", "sampled"])
     def test_residuals_are_formed_by_the_next_refresh_only(self, ar2_series, rule,
                                                           monkeypatch):
@@ -237,6 +243,33 @@ class TestApproximateSweep:
         monkeypatch.setattr(lsar.series.ARDesign, "apply", apply_spy)
         assert len(list(approximate_sweep(ar2_series, 6, rule, seed=0))) == 6
         assert calls == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("rule", [None, FRACTION_RULE], ids=["full", "sampled"])
+    @pytest.mark.parametrize("spike", [0.0, 1e4], ids=["ar2", "outlier"])
+    def test_each_draw_builds_the_cdf_it_searches(self, ar2_series, rule, spike,
+                                                   monkeypatch):
+        # No CDF is carried from one order to the next: one is built for each
+        # draw, also for a refresh that a rank-deficient block forced (the
+        # outlier's order 6), and the exact sweep, which draws nothing, builds none.
+        events = []
+        real_cdf, real_draw = LeverageScores.cdf, lsar.recursion.draw_plan
+
+        def cdf_spy(scores):
+            events.append("cdf")
+            return real_cdf(scores)
+
+        def draw_spy(*args, **kwargs):
+            events.append("draw")
+            return real_draw(*args, **kwargs)
+
+        monkeypatch.setattr(LeverageScores, "cdf", cdf_spy)
+        monkeypatch.setattr(lsar.recursion, "draw_plan", draw_spy)
+        y = ar2_series.values.copy()
+        y[1000] += spike
+        states = list(approximate_sweep(TimeSeries(y), 10, rule, 0, REFRESH_RATIO))
+        refreshed = [s.p for s in states if s.refreshed]
+        assert (6 in refreshed) == (spike > 0 and rule is not None)
+        assert events == ["cdf", "draw"] * (len(refreshed) if rule else 0)
 
     @pytest.mark.parametrize("rule, ratio", [
         (None, 1.0), (FRACTION_RULE, 1.0), (None, REFRESH_RATIO), (FRACTION_RULE, REFRESH_RATIO),
