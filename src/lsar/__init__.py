@@ -44,7 +44,6 @@ from .sampling import (
     DeltaMode,
     SampleSizeRule,
     SamplingPlan,
-    SizeMode,
     distribution_checksum,
     draw_plan,
     make_rng,

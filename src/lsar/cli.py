@@ -23,7 +23,7 @@ from .driver import REFRESH_RATIO, LsarConfig, run_lsar
 from .errors import LsarError, NumericalError
 from .exact import exact_pacf, fit_ols
 from .report import format_value, read_series, write_series
-from .sampling import RNG_NAME, DeltaMode, SampleSizeRule, SizeMode
+from .sampling import RNG_NAME, DeltaMode, SampleSizeRule
 from .series import ARGeneratorSpec, TimeSeries, center, generate_ar, log_diff, \
     make_design
 
@@ -99,11 +99,11 @@ def _given(**options) -> dict:
 
 
 def _size_rule(args, delta_mode: str | None = None) -> SampleSizeRule:
-    if args.fraction is not None:
-        return SampleSizeRule(SizeMode.FRACTION, fraction=args.fraction)
-    return SampleSizeRule(SizeMode.THEORETICAL, **_given(
-        epsilon=args.epsilon, delta=args.delta0, beta=args.beta, constant=args.constant,
-        delta_mode=DeltaMode(delta_mode) if delta_mode else None))
+    """The rule of the given flags; with --fraction, `_unread_flag` has
+    refused every theoretical one."""
+    return SampleSizeRule(**_given(
+        fraction=args.fraction, epsilon=args.epsilon, delta=args.delta0, beta=args.beta,
+        constant=args.constant, delta_mode=DeltaMode(delta_mode) if delta_mode else None))
 
 
 def _lsar_config(args, delta_mode: str | None = None, refit_full: bool = False) -> LsarConfig:
@@ -117,7 +117,7 @@ def sampling_metadata(rule: SampleSizeRule, seed: int) -> dict:
     """The options that set a sampled run's draws: the size rule's (in
     fraction mode only ``fraction``), the generator and its seed.  An empty
     ``beta`` is the rule's p-dependent default."""
-    if rule.mode is SizeMode.FRACTION:
+    if rule.fraction is not None:
         options = {"fraction": rule.fraction}
     else:
         options = {"epsilon": rule.epsilon, "delta0": rule.delta,

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, ZeroResidualError
-from .exact import ARFit, PacfTrace, ZERO_CONFIDENCE_Z, fit_from_coefficients, fit_ols, \
-    select_order
+from .exact import ARFit, PacfTrace, ZERO_CONFIDENCE_Z, check_max_lag, \
+    fit_from_coefficients, fit_ols, select_order
 from .recursion import approximate_sweep
 from .sampling import SampleSizeRule
 from .series import TimeSeries, make_design
@@ -87,10 +87,7 @@ def run_lsar(series: TimeSeries, cfg: LsarConfig) -> LsarResult:
     the loop early and is reported on the result rather than raised; order
     selection then runs over the lags already reached.
     """
-    if series.n <= 2 * cfg.max_order:
-        raise DataError(
-            f"need n > 2 * max_order, got n={series.n}, max_order={cfg.max_order}"
-        )
+    check_max_lag(cfg.max_order, series.n)
     records: list[OrderRecord] = []
     # Only each order's coefficients are kept, no residual; the selected
     # order's norm is recomputed once below, so memory stays O(n).

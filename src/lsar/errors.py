@@ -58,16 +58,29 @@ class RankDeficiencyError(NumericalError):
         )
 
 
+# Residual norms at or below this fraction of the data's norm count as an
+# exact fit.
+ZERO_RESIDUAL_RTOL = 1e-14
+
+
 class ZeroResidualError(NumericalError):
-    """An intermediate fit was exact, so the score recursion is undefined."""
+    """A fit was exact, so nothing divided by its residual norm is defined."""
 
     def __init__(self, order: int, residual_norm: float):
         self.order = order
         self.residual_norm = residual_norm
         super().__init__(
-            f"residual norm is zero at order {order}; the leverage-score "
-            "recursion increment is undefined"
+            f"residual norm is zero at order {order} (tolerance {ZERO_RESIDUAL_RTOL:g} "
+            "relative): the fit is exact, so no ratio to its residual norm is defined"
         )
+
+
+def check_residual(order: int, residual_norm: float, scale: float):
+    """Raise `ZeroResidualError` for an order-``order`` fit whose residual
+    norm is at most ``ZERO_RESIDUAL_RTOL`` times the norm ``scale`` of its
+    data."""
+    if residual_norm <= ZERO_RESIDUAL_RTOL * scale:
+        raise ZeroResidualError(order, residual_norm)
 
 
 class SampleSizeError(DataError):

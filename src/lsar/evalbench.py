@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .errors import DataError, RankDeficiencyError, ZeroResidualError
+from .errors import DataError, RankDeficiencyError, check_residual
 from .exact import LeverageScores, _check_rank, check_max_lag, exact_leverage, \
     fit_from_coefficients, fit_ols, nested_factors, solve_ols
 from .recursion import approximate_sweep
@@ -159,8 +159,9 @@ def ratio_study(
     if phi_norm == 0:
         raise DataError(f"the full-data coefficients at p={p} are all zero; "
                         "relative errors undefined")
-    if full.residual_norm == 0:
-        raise ZeroResidualError(p, 0.0)
+    # The series norm, scaled to a peak of 1 so that its squares cannot overflow.
+    peak = float(np.abs(series.values).max())
+    check_residual(p, full.residual_norm, peak * float(np.linalg.norm(series.values / peak)))
     scores = exact_leverage(design)
     cdf = scores.cdf()
     rows = []

@@ -294,12 +294,12 @@ def exact_leverage(design: ARDesign) -> LeverageScores:
 
 
 def check_max_lag(max_lag: int, n: int):
-    """Reject lag ranges past n/2, whose longest fits keep too few rows."""
-    if max_lag > n // 2:
-        raise DataError(
-            f"max_lag {max_lag} exceeds n/2 = {n // 2}; the tail fits would "
-            "be too short to be meaningful"
-        )
+    """The one limit on the largest lag of a run on n values: p̄ < n/2, so
+    that the order-p̄ regression has more rows, n - p̄, than unknowns."""
+    if 2 * max_lag >= n:
+        raise DataError(f"max_lag {max_lag} is not below n/2 = {n / 2:.15g}; the "
+                        f"order-{max_lag} fit on {n - max_lag} rows needs more rows "
+                        "than unknowns")
 
 
 def exact_pacf(series: TimeSeries, max_lag: int) -> PacfTrace:

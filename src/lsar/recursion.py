@@ -37,14 +37,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DataError, NumericalError, RankDeficiencyError, ZeroResidualError
+from .errors import DataError, NumericalError, RankDeficiencyError, check_residual
 from .exact import LeverageScores, augmented_r, solve_ols
 from .sampling import SampleSizeRule, draw_plan, reduced_fit, sample_size
 from .series import TimeSeries, make_design
-
-# Residual norms at or below this fraction of the window norm count as an
-# exact fit, for which the recursion increment is undefined.
-ZERO_RESIDUAL_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -150,8 +146,7 @@ def approximate_sweep(
                 residual_norm = float(np.linalg.norm(residuals))
                 # A perfect previous fit makes the increment 0/0; abort rather
                 # than mask it, since every later order would inherit the damage.
-                if residual_norm <= ZERO_RESIDUAL_RTOL * math.sqrt(window_norm2):
-                    raise ZeroResidualError(q - 1, residual_norm)
+                check_residual(q - 1, residual_norm, math.sqrt(window_norm2))
                 scores = _advance(scores, residuals, residual_norm, size_rule is not None,
                                   q - last_refresh)
             last_refresh = q if refresh else last_refresh

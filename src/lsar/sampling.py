@@ -34,8 +34,10 @@ def make_rng(*seed_words) -> np.random.Generator:
 
 def distribution_checksum(distribution: np.ndarray) -> str:
     """Short audit hash of a sampling distribution."""
-    # Imported here: no CLI command reads a checksum, so no process should
-    # pay for loading hashlib.
+    # Imported here, which keeps hashlib out of `import lsar.cli`, ingest,
+    # fit and pacf --exact.  A sampled process loads it anyway: importing
+    # numpy.random, which the first `make_rng` does, imports secrets, hmac
+    # and hashlib.
     import hashlib
 
     return hashlib.sha256(np.ascontiguousarray(distribution).tobytes()).hexdigest()[:16]
@@ -58,11 +60,6 @@ class SamplingPlan:
         return self.indices.size
 
 
-class SizeMode(enum.Enum):
-    THEORETICAL = "theoretical"
-    FRACTION = "fraction"
-
-
 class DeltaMode(enum.Enum):
     """How the failure probability at order q of a sweep to ``max_order``
     derives from delta0, the size rule's ``delta``."""
@@ -75,19 +72,19 @@ class DeltaMode(enum.Enum):
 class SampleSizeRule:
     """How to choose the number of sampled rows at a given order.
 
-    theoretical: ``s = ceil(c * p * ln(p/delta) / (beta * epsilon^2))``,
-    natural log, with the hidden big-O constant exposed as ``c``.  When
-    ``beta`` is None it defaults to the misestimation-factor form
-    ``max(DEFAULT_BETA_FLOOR, 1 - DEFAULT_BETA_COEFF * p * sqrt(epsilon))``.
+    With a ``fraction`` the rule is in fraction mode: ``s = ceil(fraction * n)``,
+    and the other fields go unread.
 
-    fraction: ``s = ceil(fraction * n)``; only this mode takes a fraction.
-
-    Both modes are floored at p + 1 so the reduced system is determined.
+    Without one it is theoretical: ``s = ceil(c * p * ln(p/delta) / (beta *
+    epsilon^2))``, natural log, with the hidden big-O constant exposed as
+    ``c``.  When ``beta`` is None it defaults to the misestimation-factor
+    form ``max(DEFAULT_BETA_FLOOR, 1 - DEFAULT_BETA_COEFF * p * sqrt(epsilon))``.
     The theoretical size at order q of a sweep takes delta from
     ``delta_at``, as ``delta_mode`` says.
+
+    Both modes are floored at p + 1 so the reduced system is determined.
     """
 
-    mode: SizeMode
     epsilon: float = 0.5
     delta: float = 0.1
     beta: float | None = None
@@ -102,13 +99,9 @@ class SampleSizeRule:
             raise SampleSizeError(f"delta must be in (0,1), got {self.delta}")
         if self.beta is not None and not 0 < self.beta <= 1:
             raise SampleSizeError(f"beta must be in (0,1], got {self.beta}")
-        if self.mode is SizeMode.FRACTION:
-            if self.fraction is None or not 0 < self.fraction < 1:
-                raise SampleSizeError(
-                    f"fraction mode needs fraction in (0,1), got {self.fraction}"
-                )
-        elif self.fraction is not None:
-            raise SampleSizeError(f"theoretical mode takes no fraction, got {self.fraction}")
+        if self.fraction is not None:
+            if not 0 < self.fraction < 1:
+                raise SampleSizeError(f"fraction must be in (0,1), got {self.fraction}")
         elif not 0 < self.constant < math.inf:
             raise SampleSizeError(f"constant must be positive and finite, got {self.constant}")
 
@@ -127,7 +120,7 @@ def sample_size(rule: SampleSizeRule, p: int, n: int, delta: float) -> int:
     warning; in theoretical mode it is an error naming the option to blame.
     """
     m_rows = n - p
-    if rule.mode is SizeMode.FRACTION:
+    if rule.fraction is not None:
         s = max(math.ceil(rule.fraction * n), p + 1)
         if s > m_rows:
             # The same text at every order, so the CLI says it once.

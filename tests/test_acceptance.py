@@ -18,7 +18,6 @@ from lsar import (
     LsarConfig,
     SampleSizeRule,
     SamplingPlan,
-    SizeMode,
     TimeSeries,
     approximate_sweep,
     exact_leverage,
@@ -159,7 +158,7 @@ def test_criterion_4_sampled_fit_error_monte_carlo():
     full = fit_ols(design)
     eta = conditioning(augmented_r(design))
     rule = SampleSizeRule(
-        SizeMode.THEORETICAL, epsilon=epsilon, delta=0.1, beta=1.0,
+        epsilon=epsilon, delta=0.1, beta=1.0,
         constant=4.0,
     )
     s = sample_size(rule, 5, series.n, rule.delta)
@@ -188,7 +187,7 @@ def test_criterion_4_sampled_fit_error_monte_carlo():
 
 def test_criterion_5_score_error_bound_coverage():
     epsilon = 0.25
-    rule = SampleSizeRule(SizeMode.FRACTION, fraction=0.01)
+    rule = SampleSizeRule(fraction=0.01)
     good = 0
     worst = 0.0
     for seed in range(10):
@@ -214,7 +213,7 @@ def test_criterion_6_order_recovery(ar20_large):
     # width, sampled-PACF noise at insignificant lags sits at the band height
     # for any sample size, so the widened band is the workable operating point.
     t0 = time.perf_counter()
-    rule = SampleSizeRule(SizeMode.FRACTION, fraction=0.001)
+    rule = SampleSizeRule(fraction=0.001)
     selections = []
     for seed in range(10):
         cfg = LsarConfig(
@@ -255,7 +254,7 @@ def test_criterion_7_leverage_beats_uniform():
 
 
 def test_criterion_8_timing_trend(ar20_large):
-    rule = SampleSizeRule(SizeMode.FRACTION, fraction=0.001)
+    rule = SampleSizeRule(fraction=0.001)
     rows = timing_study(ar20_large, 40, rule, seed=0)
     total_exact = sum(r[1] for r in rows)
     total_approx = sum(r[2] for r in rows)
@@ -272,7 +271,7 @@ def test_criterion_9_complexity_trend():
     # Whole runs are timed: a refresh interval's plan and factor serve all
     # its orders, so no single order's time shows how the cost grows.
     series = generate_ar(ARGeneratorSpec(AR20_COEFFS, 1.0, 200_000, seed=13))
-    rule = SampleSizeRule(SizeMode.FRACTION, fraction=0.01)
+    rule = SampleSizeRule(fraction=0.01)
     pbars = [25, 50, 100]
     times = []
     for pbar in pbars:

@@ -596,8 +596,34 @@ class TestEval:
         code = run(["eval", "ratios", "--input", gen, "--p", "1", "--sizes", "4",
                     "--reps", "2", "--out", str(out)])
         assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "ZeroResidualError residual norm is zero at order 1" in err
+        # eval ratios runs no score recursion, so the message must not name one.
+        assert "recursion" not in err
+        assert not out.exists()
+
+    def test_ratios_on_a_fit_exact_to_the_tolerance_is_numerical_error(self, tmp_path,
+                                                                      capsys):
+        # One ulp off the exact 0.5^t: the full residual is positive but under
+        # the relative tolerance the sweep uses, so no ratio divides by it.
+        values = 0.5 ** np.arange(60.0)
+        values[10] = np.nextafter(values[10], 1.0)
+        gen = series_file(tmp_path, values)
+        out = tmp_path / "o.csv"
+        code = run(["eval", "ratios", "--input", gen, "--p", "1", "--sizes", "4",
+                    "--reps", "2", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
         assert "ZeroResidualError residual norm is zero at order 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_ratios_near_the_overflow_limit_is_no_exact_fit(self, tmp_path, capsys):
+        # The squares of these values overflow, which must not make the
+        # tolerance infinite and every full fit exact.
+        gen = series_file(tmp_path, np.random.default_rng(2).normal(size=100) * 1e155)
+        code = run(["eval", "ratios", "--input", gen, "--p", "2", "--sizes", "20",
+                    "--reps", "2", "--out", str(tmp_path / "o.csv")])
+        assert code == 0
+        assert "ZeroResidualError" not in capsys.readouterr().err
 
     def test_lag_study_requires_pbar(self, tmp_path, capsys):
         gen = series_file(tmp_path, np.arange(1.0, 50.0).tolist())
@@ -612,7 +638,7 @@ class TestEval:
         out = tmp_path / "o.csv"
         code = run(["eval", study, "--input", gen, "--pbar", "2000", "--out", str(out)])
         assert code == EXIT_DATA
-        assert "max_lag 2000 exceeds n/2 = 1500" in capsys.readouterr().err
+        assert "max_lag 2000 is not below n/2 = 1500" in capsys.readouterr().err
         assert not out.exists()
 
     def test_overflowing_delta_is_blamed(self, tmp_path, capsys):
@@ -621,6 +647,25 @@ class TestEval:
                     "--delta0", "1e-320", "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_DATA
         assert "delta is too small for this data size" in capsys.readouterr().err
+
+
+# Every command that takes --pbar, with the size rule's flags where it reads them.
+PBAR_COMMANDS = ["lsar --fraction 0.5", "pacf --exact", "pacf --sampled --fraction 0.5",
+                 "eval mpre --fraction 0.5", "eval timing --fraction 0.5", "eval bounds"]
+LAG_LIMIT = ("lsar: error=DataError max_lag 20 is not below n/2 = 20; the order-20 fit "
+             "on 20 rows needs more rows than unknowns")
+
+
+@pytest.mark.parametrize("command", PBAR_COMMANDS)
+def test_one_lag_limit_for_every_command(tmp_path, capsys, command):
+    # p̄ < n/2: at p̄ = n/2 each command refuses with the same message, and
+    # one lag below no command names the limit.
+    gen = series_file(tmp_path, np.random.default_rng(2).normal(size=40))
+    argv = command.split() + ["--input", gen, "--out", str(tmp_path / "o.csv")]
+    assert run(argv + ["--pbar", "20"]) == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [LAG_LIMIT]
+    run(argv + ["--pbar", "19"])
+    assert "not below n/2" not in capsys.readouterr().err
 
 
 # Finite series that have broken commands before: noise, perfect fits,

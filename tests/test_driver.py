@@ -14,7 +14,6 @@ from lsar import (
     LsarConfig,
     LsarError,
     SampleSizeRule,
-    SizeMode,
     TimeSeries,
     fit_ols,
     generate_ar,
@@ -27,7 +26,7 @@ from lsar.recursion import approximate_sweep
 
 from conftest import reduced_solve
 
-FRACTION_RULE = SampleSizeRule(SizeMode.FRACTION, fraction=0.05)
+FRACTION_RULE = SampleSizeRule(fraction=0.05)
 
 
 def run_outcome(series, cfg):
@@ -50,8 +49,7 @@ class TestRunLsar:
         # scores and that one buffer are alive, plus a row block of a solve.
         # Holding the residual next to the new scores would make it three.
         y = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 10**6, seed=3))
-        cfg = LsarConfig(max_order=40, size_rule=SampleSizeRule(SizeMode.FRACTION,
-                                                                fraction=1e-3))
+        cfg = LsarConfig(max_order=40, size_rule=SampleSizeRule(fraction=1e-3))
         tracemalloc.start()
         try:
             run_lsar(y, cfg)
@@ -91,7 +89,7 @@ class TestRunLsar:
         y = generate_ar(ARGeneratorSpec(np.array([]), 1.0, 100_000, seed=11))
         cfg = LsarConfig(
             max_order=20,
-            size_rule=SampleSizeRule(SizeMode.FRACTION, fraction=0.01),
+            size_rule=SampleSizeRule(fraction=0.01),
             seed=0,
         )
         result = run_lsar(y, cfg)
@@ -119,7 +117,7 @@ class TestRunLsar:
         # place; a second run on the same input must not tell the difference.
         y = generate_ar(ARGeneratorSpec(np.array(phi), 1.0, n, seed=data_seed))
         cfg = LsarConfig(max_order=max_order, seed=seed,
-                         size_rule=SampleSizeRule(SizeMode.FRACTION, fraction=fraction))
+                         size_rule=SampleSizeRule(fraction=fraction))
         assert run_outcome(y, cfg) == run_outcome(y, cfg)
 
     def test_window_bookkeeping(self):
@@ -170,7 +168,7 @@ class TestRunLsar:
     def test_geometric_delta_mode_runs(self):
         y = generate_ar(ARGeneratorSpec(np.array([0.5]), 1.0, 3000, seed=1))
         rule = SampleSizeRule(
-            SizeMode.THEORETICAL, epsilon=0.5, delta=0.1, beta=1.0,
+            epsilon=0.5, delta=0.1, beta=1.0,
             delta_mode=DeltaMode.GEOMETRIC,
         )
         cfg = LsarConfig(max_order=5, size_rule=rule, seed=0)
@@ -187,7 +185,7 @@ class TestRunLsar:
         with pytest.raises(DataError):
             LsarConfig(max_order=0, size_rule=FRACTION_RULE)
         with pytest.raises(DataError, match="delta must be in"):
-            SampleSizeRule(SizeMode.FRACTION, delta=1.5, fraction=0.05)
+            SampleSizeRule(delta=1.5, fraction=0.05)
         for multiplier in (0.0, math.nan, math.inf):
             with pytest.raises(DataError, match="positive and finite"):
                 LsarConfig(max_order=5, size_rule=FRACTION_RULE,

@@ -12,7 +12,6 @@ from lsar import (
     NumericalError,
     RankDeficiencyError,
     SampleSizeRule,
-    SizeMode,
     TimeSeries,
     approximate_sweep,
     exact_leverage,
@@ -39,7 +38,7 @@ from lsar.sampling import SamplingPlan
 
 from conftest import contaminated_series, reduced_solve
 
-FRACTION_RULE = SampleSizeRule(SizeMode.FRACTION, fraction=0.05)
+FRACTION_RULE = SampleSizeRule(fraction=0.05)
 
 
 def make_scores(values):
@@ -329,7 +328,7 @@ class TestDeltaSchedule:
         # Under the theoretical rule s depends on the per-order failure
         # probability, so equal sizes mean one schedule, delta0 / q.
         y = generate_ar(ARGeneratorSpec(np.array([0.5]), 1.0, 3000, seed=2))
-        rule = SampleSizeRule(SizeMode.THEORETICAL, epsilon=0.5, delta=0.1, beta=1.0)
+        rule = SampleSizeRule(epsilon=0.5, delta=0.1, beta=1.0)
         log = run_lsar(y, LsarConfig(max_order=5, size_rule=rule)).per_order_log
         expected = [r.sample_size for r in log]
         sweeps = []

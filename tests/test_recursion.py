@@ -12,7 +12,6 @@ from lsar import (
     ARGeneratorSpec,
     DataError,
     SampleSizeRule,
-    SizeMode,
     TimeSeries,
     ZeroResidualError,
     exact_leverage,
@@ -27,7 +26,7 @@ from lsar.sampling import draw_plan, sample_size
 
 from conftest import hat_diagonal, reduced_solve
 
-FRACTION_RULE = SampleSizeRule(SizeMode.FRACTION, fraction=0.05)
+FRACTION_RULE = SampleSizeRule(fraction=0.05)
 SCALE_SERIES = generate_ar(ARGeneratorSpec(np.array([0.6, -0.4]), 1.0, 2000, seed=11))
 
 
@@ -95,7 +94,7 @@ class TestQuasiScores:
         kappa2 = conditioning_kappa(augmented_r(make_design(ar2_series, 2))[:2, :2])
         bound = (1 + 3 * prev_eta * kappa2**2) * math.sqrt(epsilon)
         rule = SampleSizeRule(
-            SizeMode.THEORETICAL, epsilon=epsilon, delta=0.1, beta=1.0,
+            epsilon=epsilon, delta=0.1, beta=1.0,
             constant=4.0,
         )
         s = sample_size(rule, 1, window.n, rule.delta)
@@ -192,7 +191,7 @@ class TestApproximateSweep:
 
     @pytest.mark.parametrize("rule", [
         FRACTION_RULE,
-        SampleSizeRule(SizeMode.THEORETICAL, epsilon=0.5, delta=0.1, beta=1.0),
+        SampleSizeRule(epsilon=0.5, delta=0.1, beta=1.0),
     ], ids=["fraction", "theoretical"])
     def test_interval_factor_matches_direct_solves(self, ar2_series, rule, monkeypatch):
         # Each order reads its fit from the leading block of its interval's

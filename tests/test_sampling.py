@@ -13,7 +13,6 @@ from lsar import (
     SampleSizeError,
     SampleSizeRule,
     SamplingPlan,
-    SizeMode,
     TimeSeries,
     exact_leverage,
     fit_ols,
@@ -119,64 +118,64 @@ class TestDrawPlan:
 
 class TestSampleSize:
     def test_fraction_paper_scale(self):
-        rule = SampleSizeRule(SizeMode.FRACTION, fraction=0.001)
+        rule = SampleSizeRule(fraction=0.001)
         assert sample_size(rule, 20, 2_000_000, rule.delta) == 2000
 
     def test_fraction_floor(self):
-        rule = SampleSizeRule(SizeMode.FRACTION, fraction=0.001)
+        rule = SampleSizeRule(fraction=0.001)
         assert sample_size(rule, 5, 1000, rule.delta) == 6
 
     def test_theoretical_arithmetic(self):
         rule = SampleSizeRule(
-            SizeMode.THEORETICAL, epsilon=0.5, delta=0.1, beta=1.0, constant=1.0
+            epsilon=0.5, delta=0.1, beta=1.0, constant=1.0
         )
         # ceil(1 * 10 * ln(100) / (1 * 0.25)) = ceil(184.2) = 185
         assert sample_size(rule, 10, 100_000, rule.delta) == 185
 
     def test_delta_override(self):
         rule = SampleSizeRule(
-            SizeMode.THEORETICAL, epsilon=0.5, delta=0.1, beta=1.0, constant=1.0
+            epsilon=0.5, delta=0.1, beta=1.0, constant=1.0
         )
         assert sample_size(rule, 10, 100_000, delta=0.01) > 185
 
     def test_default_beta_floor(self):
         # With p sqrt(eps) >= 1 the misestimation factor hits its floor 0.1.
-        rule = SampleSizeRule(SizeMode.THEORETICAL, epsilon=0.25, delta=0.1)
+        rule = SampleSizeRule(epsilon=0.25, delta=0.1)
         big = sample_size(rule, 10, 10_000_000, rule.delta)
         fixed = SampleSizeRule(
-            SizeMode.THEORETICAL, epsilon=0.25, delta=0.1, beta=0.1
+            epsilon=0.25, delta=0.1, beta=0.1
         )
         assert big == sample_size(fixed, 10, 10_000_000, fixed.delta)
 
     def test_fraction_clamps_with_warning(self):
-        rule = SampleSizeRule(SizeMode.FRACTION, fraction=0.9)
+        rule = SampleSizeRule(fraction=0.9)
         with pytest.warns(UserWarning, match="clamped to the row count"):
             assert sample_size(rule, 8, 10, rule.delta) == 2
 
     def test_theoretical_overflow_errors(self):
         rule = SampleSizeRule(
-            SizeMode.THEORETICAL, epsilon=0.01, delta=0.1, beta=1.0
+            epsilon=0.01, delta=0.1, beta=1.0
         )
         with pytest.raises(SampleSizeError, match="epsilon is too small"):
             sample_size(rule, 10, 200, rule.delta)
 
     def test_tiny_beta_is_blamed(self):
         # beta = 1 would give 10 rows here, so beta, not epsilon, is the cause.
-        rule = SampleSizeRule(SizeMode.THEORETICAL, epsilon=0.999, beta=1e-300)
+        rule = SampleSizeRule(epsilon=0.999, beta=1e-300)
         with pytest.raises(SampleSizeError,
                            match=r"sample size 9\.23e\+300 exceeds .*; beta is too small"):
             sample_size(rule, 1, 50, rule.delta)
 
     def test_large_constant_is_blamed(self):
         # The default constant 4 would give 8 rows here.
-        rule = SampleSizeRule(SizeMode.THEORETICAL, constant=1000.0)
+        rule = SampleSizeRule(constant=1000.0)
         with pytest.raises(SampleSizeError,
                            match=r"sample size 3\.14e\+04 exceeds .* 299; constant is too large"):
             sample_size(rule, 1, 300, rule.delta)
 
     def test_tiny_delta_is_blamed(self):
         # The default delta 0.1 would give 8 rows here.
-        rule = SampleSizeRule(SizeMode.THEORETICAL, delta=1e-300)
+        rule = SampleSizeRule(delta=1e-300)
         with pytest.raises(SampleSizeError,
                            match=r"sample size 3\.77e\+04 exceeds .* 299; delta is too small"):
             sample_size(rule, 1, 300, rule.delta)
@@ -184,18 +183,18 @@ class TestSampleSize:
     @pytest.mark.parametrize("delta_mode", list(DeltaMode))
     def test_vanishing_delta_is_blamed(self, delta_mode):
         # delta0 / 2 and delta0 / 3, the geometric schedule's value, are 0.0.
-        rule = SampleSizeRule(SizeMode.THEORETICAL, delta=5e-324, delta_mode=delta_mode)
+        rule = SampleSizeRule(delta=5e-324, delta_mode=delta_mode)
         assert rule.delta_at(2, 3) == 0.0
         with pytest.raises(SampleSizeError, match="size inf exceeds .*; delta is too small"):
             sample_size(rule, 2, 300, rule.delta_at(2, 3))
 
     def test_underflowing_epsilon_squared_is_blamed(self):
-        rule = SampleSizeRule(SizeMode.THEORETICAL, epsilon=1e-170, beta=0.5)
+        rule = SampleSizeRule(epsilon=1e-170, beta=0.5)
         with pytest.raises(SampleSizeError, match="size inf exceeds .*; epsilon is too small"):
             sample_size(rule, 1, 300, rule.delta)
 
     def test_overflowing_log_blames_delta(self):
-        rule = SampleSizeRule(SizeMode.THEORETICAL, epsilon=0.5, beta=1.0)
+        rule = SampleSizeRule(epsilon=0.5, beta=1.0)
         with pytest.raises(SampleSizeError, match="delta is too small"):
             sample_size(rule, 3, 3000, delta=1e-320)
 
@@ -205,8 +204,8 @@ class TestSampleSize:
         # expm1/log1p form.  The plain power loses digits of delta0 in
         # 1 - delta0, 1.5e-9 relative at 1e-6 and max_order 100; at 1e-300
         # 1 - delta0 rounds to 1 and the power is 0.
-        per_order = SampleSizeRule(SizeMode.THEORETICAL, delta=delta)
-        geometric = SampleSizeRule(SizeMode.THEORETICAL, delta=delta,
+        per_order = SampleSizeRule(delta=delta)
+        geometric = SampleSizeRule(delta=delta,
                                    delta_mode=DeltaMode.GEOMETRIC)
         for max_order in (1, 7, 40, 100):
             power = 1.0 - (1.0 - delta) ** (1.0 / max_order)
@@ -222,7 +221,7 @@ class TestSampleSize:
     def test_tiny_geometric_delta_does_not_underflow(self):
         # 1 - 1e-17 rounds to 1, which made the geometric delta 0.0 and the
         # size infinite.
-        rule = SampleSizeRule(SizeMode.THEORETICAL, delta=1e-17, beta=1.0,
+        rule = SampleSizeRule(delta=1e-17, beta=1.0,
                               delta_mode=DeltaMode.GEOMETRIC)
         delta = rule.delta_at(2, 40)
         assert math.isclose(delta, 2.5e-19, rel_tol=1e-12)
@@ -231,21 +230,18 @@ class TestSampleSize:
     def test_constant_and_delta_are_blamed_together(self):
         # Either option alone back at its default still gives 31447 or 37736
         # rows; both give 126.
-        rule = SampleSizeRule(SizeMode.THEORETICAL, constant=1000.0, delta=1e-300)
+        rule = SampleSizeRule(constant=1000.0, delta=1e-300)
         with pytest.raises(SampleSizeError, match=r"sample size 9\.43e\+06 exceeds .* 299; "
                            "constant and delta together are too strict for this data size"):
             sample_size(rule, 1, 300, rule.delta)
 
     def test_invalid_parameters(self):
         with pytest.raises(SampleSizeError):
-            SampleSizeRule(SizeMode.THEORETICAL, epsilon=1.5)
+            SampleSizeRule(epsilon=1.5)
+        with pytest.raises(SampleSizeError, match="fraction must be in"):
+            SampleSizeRule(fraction=1.0)
         with pytest.raises(SampleSizeError):
-            SampleSizeRule(SizeMode.FRACTION, fraction=None)
-        with pytest.raises(SampleSizeError):
-            SampleSizeRule(SizeMode.THEORETICAL, beta=0.0)
-        # A fraction would be ignored by the theoretical size.
-        with pytest.raises(SampleSizeError, match="theoretical mode takes no fraction"):
-            SampleSizeRule(SizeMode.THEORETICAL, fraction=0.5)
+            SampleSizeRule(beta=0.0)
 
 
 class TestReducedFit:
